@@ -1,7 +1,7 @@
 GO ?= go
 
-# Packages with concurrency surface: the batch engine and everything it
-# fans out over. These get the -race leg; they are also fast enough to
+# Packages with concurrency surface: the batch engine, everything it
+# fans out over, and the concurrent serving layers. These get the -race leg; they are also fast enough to
 # run instrumented on every push.
 RACE_PKGS = ./internal/sched ./internal/core ./internal/suite \
             ./internal/trace ./internal/mem ./internal/xrand \
@@ -28,14 +28,21 @@ race:
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzParseTrace -fuzztime 30s
 
-# fuzz-smoke is the CI leg: a 10s fuzz of each ingestion parser (access
-# traces and perf output) with the unit tests filtered out, so
-# regressions in their robustness surface on every push.
+# fuzz-smoke is the CI leg (ci.sh runs it): a 10s fuzz of every fuzz
+# target with the unit tests filtered out, so regressions in their
+# robustness surface on every push. The ingestion parsers (access
+# traces, perf output) and spec parsers come first; then inference
+# equivalence and wire robustness: the flat tree must stay
+# bit-identical to the pointer tree, and garbage binary frames must
+# always land in typed errors.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
+	$(GO) test -run '^$$' -fuzz FuzzParseWindowSpec -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzParseLifecycleSpec -fuzztime 10s ./internal/lifecycle
 	$(GO) test -run '^$$' -fuzz FuzzParseEnsembleSpec -fuzztime 10s ./internal/ensemble
+	$(GO) test -run '^$$' -fuzz FuzzFlatVsPointerTree -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/serve
 
 # bench records the parallel-vs-sequential engine numbers (see
 # EXPERIMENTS.md).
@@ -67,7 +74,7 @@ bench-snapshot:
 
 # serve-smoke exercises the detection server's full lifecycle: bind an
 # ephemeral port, health-check, register a model, classify through the
-# batched path, scrape metrics, and shut down gracefully.
+# inline pipeline, scrape metrics, and shut down gracefully.
 serve-smoke:
 	$(GO) test ./internal/serve -run TestServeSmoke -count=1 -v
 

@@ -664,11 +664,11 @@ func Experiments() []string {
 // Serving
 
 // Serving-layer types, re-exported from internal/serve: a long-running
-// detection server with a registry of trained detectors, micro-batched
-// inference, and a JSON API, plus the matching client.
+// detection server with a registry of trained detectors, inline
+// per-request inference, and a JSON API, plus the matching client.
 type (
-	// ServeConfig shapes a detection Server (listen address, batching
-	// knobs, registry directory, default detector, fault injection).
+	// ServeConfig shapes a detection Server (listen address, admission
+	// limits, registry directory, default detector, fault injection).
 	ServeConfig = serve.Config
 	// Server is the long-running detection service.
 	Server = serve.Server

@@ -16,13 +16,6 @@ go test -race -count=1 ./internal/sched ./internal/core ./internal/suite \
 # drift -> retrain -> shadow -> promote -> rollback, all
 # race-instrumented.
 go test -race -count=1 -run TestChaos ./internal/serve ./internal/fleet
-go test -run '^$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
-go test -run '^$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
-go test -run '^$' -fuzz FuzzParseWindowSpec -fuzztime 10s ./internal/stream
-go test -run '^$' -fuzz FuzzParseLifecycleSpec -fuzztime 10s ./internal/lifecycle
-go test -run '^$' -fuzz FuzzParseEnsembleSpec -fuzztime 10s ./internal/ensemble
-# Inference equivalence and wire robustness: the flat tree must stay
-# bit-identical to the pointer tree, and garbage binary frames must
-# always land in typed errors.
-go test -run '^$' -fuzz FuzzFlatVsPointerTree -fuzztime 10s ./internal/ml
-go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/serve
+# The fuzz leg: one 10s run per fuzz target. The Makefile keeps the
+# list.
+make fuzz-smoke

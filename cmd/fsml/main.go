@@ -12,7 +12,7 @@
 //	fsml events  [-quick] [-j N]
 //	fsml shadow  [-threads N] [-input NAME] [-opt LEVEL] <program>
 //	fsml repro   [-quick] [-j N] [-faults SPEC] <table1|...|fault-matrix|all>
-//	fsml serve   [-addr A] [-j N] [-batch N] [-linger D] [-registry-dir DIR]
+//	fsml serve   [-addr A] [-j N] [-registry-dir DIR]
 //	             [-max-inflight N] [-shed-after D] [-breaker-threshold N]
 //	             [-breaker-cooldown D] [-faults SPEC]
 //	fsml watch   [-window S[:T[:H]]] [-seed N] [-threads N] [-iters N]
@@ -125,7 +125,7 @@ func usage() {
   fsml platform [-quick] [-j N] <name>               retrain for a platform (steps 2-6)
   fsml repro    [-quick] [-j N] [-faults SPEC] <experiment|all>
                                                      regenerate a paper table
-  fsml serve    [-addr A] [-j N] [-batch N] [-linger D] [-registry-dir DIR]
+  fsml serve    [-addr A] [-j N] [-registry-dir DIR]
                 [-max-inflight N] [-shed-after D] [-breaker-threshold N]
                 [-breaker-cooldown D] [-faults SPEC] [-lifecycle SPEC]
                                                      run the detection server
@@ -764,13 +764,11 @@ func cmdRepro(args []string) error {
 }
 
 // cmdServe runs the long-running detection server until interrupted,
-// then drains in-flight batches before exiting.
+// then drains in-flight requests before exiting.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8723", "listen address (host:port; :0 picks a free port)")
 	jobs := jobsFlag(fs)
-	batch := fs.Int("batch", 16, "max classify requests per micro-batch (1 = no batching)")
-	linger := fs.Duration("linger", 2*time.Millisecond, "how long a forming batch waits for stragglers")
 	registryDir := fs.String("registry-dir", "", "persist models here and warm-start from it on boot")
 	quick := fs.Bool("quick", true, "default detector trains on the reduced grids")
 	seed := fs.Uint64("seed", 1, "default detector training seed")
@@ -795,8 +793,6 @@ func cmdServe(args []string) error {
 	}
 	srv := fsml.NewServer(fsml.ServeConfig{
 		Addr:             *addr,
-		MaxBatch:         *batch,
-		Linger:           *linger,
 		Parallelism:      *jobs,
 		RegistryDir:      *registryDir,
 		DefaultDetector:  fsml.DetectorSpec{Quick: *quick, Seed: *seed}.Key(),
@@ -810,11 +806,11 @@ func cmdServe(args []string) error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "fsml: serving on http://%s (batch=%d linger=%s; ^C to stop)\n", srv.Addr(), *batch, *linger)
+	fmt.Fprintf(os.Stderr, "fsml: serving on http://%s (max-inflight=%d; ^C to stop)\n", srv.Addr(), *maxInflight)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	fmt.Fprintln(os.Stderr, "fsml: shutting down, draining in-flight batches")
+	fmt.Fprintln(os.Stderr, "fsml: shutting down, draining in-flight requests")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	return srv.Shutdown(ctx)

@@ -80,7 +80,8 @@
 //     comparison baselines
 //   - internal/exps — regenerates every table and figure of the paper
 //   - internal/serve, internal/resilience — the long-running detection
-//     service: micro-batched inference, model registry, admission
+//     service: one inline classify pipeline behind every wire format,
+//     one model registry for detectors and ensembles, admission
 //     control and circuit breakers, plus a length-prefixed binary
 //     classify protocol (POST /v1/classify-bin) for batched hot-path
 //     inference

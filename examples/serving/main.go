@@ -132,7 +132,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 6. Graceful shutdown drains any in-flight batches.
+	// 6. Graceful shutdown drains any in-flight requests.
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {

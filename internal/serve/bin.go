@@ -4,10 +4,11 @@ package serve
 // length-prefixed frame protocol from wire.go instead of JSON. It
 // exists for the hot path — a monitoring agent shipping thousands of
 // event vectors per second — where JSON encode/decode dominates the
-// actual tree walk. A vector frame is classified as one columnar batch
-// through Detector.ClassifyVectors (the frame IS the micro-batch, so it
-// skips the linger-based batcher), and verdicts are identical to the
-// JSON endpoint's: same projection cache, same flat tree, same degraded
+// actual tree walk. The handler only decodes the frame and encodes the
+// answer; classification goes through the shared pipeline (classify.go),
+// where a clean vector frame runs as one columnar pass through
+// Detector.ClassifyVectors. Verdicts are identical to the JSON
+// endpoint's: same projection cache, same flat tree, same degraded
 // semantics when suspects are flagged.
 //
 // Error handling is split by layer, on purpose: middleware rejections
@@ -25,8 +26,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"fsml/internal/core"
 )
 
 // contentTypeBin is the frame protocol's media type.
@@ -49,18 +48,23 @@ func (s *Server) handleClassifyBin(w http.ResponseWriter, r *http.Request) {
 		s.writeBinError(w, err)
 		return
 	}
+	in := classifyInput{detector: req.Detector, trace: req.Trace, seed: req.Seed}
+	if len(req.Trace) == 0 {
+		if req.NumVecs() == 0 {
+			s.writeBinError(w, badRequestf("classify-bin: empty vector frame"))
+			return
+		}
+		in.vecs, in.width, in.columnar = req.Vecs, req.Width, true
+		in.events, in.suspects = req.Events, req.Suspects
+	}
 	ctx, cancel := s.reqContext(r, 0)
 	defer cancel()
-	det, key, err := s.detector(ctx, req.Detector)
+	res, err := s.classify(ctx, &in)
 	if err != nil {
 		s.writeBinError(w, err)
 		return
 	}
-	resp, err := s.classifyBin(ctx, det, key, req)
-	if err != nil {
-		s.writeBinError(w, err)
-		return
-	}
+	resp := &BinClassifyResponse{Detector: res.key, Suspects: res.suspects, Verdicts: res.verdicts}
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
 	out, err := AppendBinResponse(*buf, resp)
@@ -71,77 +75,6 @@ func (s *Server) handleClassifyBin(w http.ResponseWriter, r *http.Request) {
 	*buf = out // retain the grown capacity in the pool
 	w.Header().Set("Content-Type", contentTypeBin)
 	_, _ = w.Write(out)
-}
-
-// classifyBin dispatches a decoded frame: trace frames replay through
-// the batcher exactly like JSON trace requests; vector frames are
-// classified as one columnar batch.
-func (s *Server) classifyBin(ctx context.Context, det *core.Detector, key string, req *BinClassifyRequest) (*BinClassifyResponse, error) {
-	if len(req.Trace) > 0 {
-		jr := &ClassifyRequest{Trace: req.Trace, Seed: req.Seed}
-		resp, err := s.batcher.Submit(ctx, func() (*ClassifyResponse, error) {
-			c0 := time.Now()
-			resp, err := s.classifyTrace(verdictor{det: det}, key, jr)
-			s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds())
-			return resp, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if resp.Degraded {
-			s.metrics.Add(mDegraded, 1)
-		}
-		return &BinClassifyResponse{
-			Detector: key,
-			Suspects: resp.Suspects,
-			Verdicts: []BinVerdict{{Class: resp.Class, Confidence: resp.Confidence, Degraded: resp.Degraded, Seconds: resp.Seconds}},
-		}, nil
-	}
-
-	n := req.NumVecs()
-	if n == 0 {
-		return nil, badRequestf("classify-bin: empty vector frame")
-	}
-	c0 := time.Now()
-	defer func() { s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds()) }()
-
-	// Fast path: a clean frame against a tree detector runs columnar —
-	// one projection, one flat-tree pass, interned verdict strings.
-	if len(req.Suspects) == 0 && det.FlatTree() != nil {
-		classes := make([]string, n)
-		if err := det.ClassifyVectors(req.Events, req.Vecs, req.Width, classes); err != nil {
-			return nil, badRequestf("classify-bin: %v", err)
-		}
-		verdicts := make([]BinVerdict, n)
-		for i, c := range classes {
-			verdicts[i] = BinVerdict{Class: c, Confidence: 1}
-		}
-		return &BinClassifyResponse{Detector: key, Verdicts: verdicts}, nil
-	}
-
-	// Degraded or non-tree frames reuse the JSON endpoint's per-vector
-	// path so suspect handling stays semantically identical.
-	jr := &ClassifyRequest{Events: req.Events, SuspectEvents: req.Suspects}
-	resp := &BinClassifyResponse{Detector: key, Verdicts: make([]BinVerdict, n)}
-	degraded := false
-	for i := 0; i < n; i++ {
-		jr.Vector = req.Vecs[i*req.Width : (i+1)*req.Width]
-		jresp, err := s.classifyVector(verdictor{det: det}, key, jr)
-		if err != nil {
-			return nil, err
-		}
-		resp.Verdicts[i] = BinVerdict{Class: jresp.Class, Confidence: jresp.Confidence, Degraded: jresp.Degraded}
-		if jresp.Degraded {
-			degraded = true
-		}
-		if resp.Suspects == nil {
-			resp.Suspects = jresp.Suspects
-		}
-	}
-	if degraded {
-		s.metrics.Add(mDegraded, 1)
-	}
-	return resp, nil
 }
 
 // writeBinError renders a handler error as a binary error frame with
@@ -207,11 +140,7 @@ func (c *Client) binRoundTrip(ctx context.Context, frame []byte) (*BinClassifyRe
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentTypeBin)
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	httpResp, err := hc.Do(req)
+	httpResp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -15,14 +15,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"fsml/internal/core"
 )
 
 // binVectorRequest mirrors vectorRequest for the binary protocol.
@@ -96,7 +92,7 @@ func TestBinCodecRoundTrip(t *testing.T) {
 
 // TestClassifyBinGoldenWire pins both directions of the binary protocol
 // byte for byte: the canonical degraded request's frame and the
-// response frame it produces, identical across batching/parallelism
+// response frame it produces, identical across parallelism
 // configs, against testdata/classify_bin.golden. Regenerate with:
 // go test ./internal/serve -run TestClassifyBinGoldenWire -update
 func TestClassifyBinGoldenWire(t *testing.T) {
@@ -110,10 +106,7 @@ func TestClassifyBinGoldenWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := []Config{
-		{MaxBatch: 1},
-		{MaxBatch: 8, Linger: 2 * time.Millisecond, Parallelism: 8},
-	}
+	configs := []Config{{Parallelism: 1}, {Parallelism: 8}}
 	var bodies [][]byte
 	for _, cfg := range configs {
 		_, client := newTestServer(t, cfg)
@@ -170,16 +163,13 @@ func TestClassifyBinGoldenWire(t *testing.T) {
 // TestClassifyBinMatchesJSON asserts the binary endpoint returns the
 // same verdicts as /v1/classify for identical inputs — clean vectors,
 // degraded vectors, defaulted event names, multi-vector frames, and a
-// trace — across batching configs.
+// trace — across parallelism configs.
 func TestClassifyBinMatchesJSON(t *testing.T) {
 	var tr strings.Builder
 	for i := 0; i < 200; i++ {
 		fmt.Fprintf(&tr, "T0 S 0x1000 x8\nT0 E 40\nT1 S 0x1008 x8\nT1 E 40\n")
 	}
-	for _, cfg := range []Config{
-		{MaxBatch: 1},
-		{MaxBatch: 8, Linger: 2 * time.Millisecond, Parallelism: 8},
-	} {
+	for _, cfg := range []Config{{Parallelism: 1}, {Parallelism: 8}} {
 		_, client := newTestServer(t, cfg)
 		ctx := context.Background()
 
@@ -396,7 +386,6 @@ func TestBinFrameCaps(t *testing.T) {
 // amortized hot path). Compare against BenchmarkServeClassify; divide
 // frame64 ns/op by 64 for per-vector cost.
 func BenchmarkServeClassifyBin(b *testing.B) {
-	det := tinyDetector(b)
 	for _, bc := range []struct {
 		name    string
 		perCall int
@@ -405,15 +394,7 @@ func BenchmarkServeClassifyBin(b *testing.B) {
 		{"frame64", 64},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := Config{MaxBatch: 1, MaxInflight: -1}
-			cfg.Train = func(TrainSpec) (*core.Detector, error) { return det, nil }
-			s := New(cfg)
-			hs := httptest.NewServer(s.Handler())
-			defer func() {
-				hs.Close()
-				s.batcher.Close()
-			}()
-			client := NewClient(hs.URL)
+			_, client := newTestServer(b, Config{})
 			var vecs []float64
 			for i := 0; i < bc.perCall; i++ {
 				jr := vectorRequest(i)

@@ -70,6 +70,15 @@ type Client struct {
 	Retry RetryPolicy
 }
 
+// httpClient returns the transport to use: HTTPClient, or
+// http.DefaultClient when unset.
+func (c *Client) httpClient() *http.Client {
+	if c.HTTPClient != nil {
+		return c.HTTPClient
+	}
+	return http.DefaultClient
+}
+
 // NewClient returns a client for the given server root.
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
@@ -209,11 +218,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, blob []byte
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
 	}
@@ -348,11 +353,7 @@ func (c *Client) perfRoundTrip(ctx context.Context, path string, perf []byte) (*
 		return nil, err
 	}
 	req.Header.Set("Content-Type", PerfContentType)
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -441,11 +442,7 @@ func (c *Client) Ready(ctx context.Context) (*ReadyResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -491,11 +488,7 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return "", err
 	}

@@ -1,8 +1,8 @@
 package serve
 
 // Tests of the ensemble side of the serving layer: key parsing, the
-// ?ensemble=1 classify path, the ensemble registry's warm start and
-// quarantine, and the detector listing. Like the rest of the suite,
+// ?ensemble=1 classify path, the registry's ensemble warm start,
+// quarantine and base-detector reuse, and the detector listing. Like the rest of the suite,
 // everything runs against a tiny hand-built model so no test pays for a
 // widened-grid training sweep.
 
@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fsml/internal/core"
 	"fsml/internal/dataset"
 	"fsml/internal/ensemble"
 	"fsml/internal/pmu"
@@ -77,13 +78,13 @@ func tinyEnsemble(t testing.TB) *ensemble.Detector {
 	return det
 }
 
-// newEnsembleTestServer wires a server whose ensemble registry serves
-// the tiny ensemble instantly.
+// newEnsembleTestServer wires a server whose registry serves the tiny
+// ensemble instantly.
 func newEnsembleTestServer(t testing.TB) (*Server, *Client) {
 	t.Helper()
 	ens := tinyEnsemble(t)
 	return newTestServer(t, Config{
-		TrainEnsemble: func(EnsembleSpec) (*ensemble.Detector, error) { return ens, nil },
+		TrainEnsemble: func(EnsembleSpec, *core.Detector) (*ensemble.Detector, error) { return ens, nil },
 	})
 }
 
@@ -169,7 +170,8 @@ func TestClassifyEnsembleEndToEnd(t *testing.T) {
 
 // TestClassifyEnsembleRejectsForeignKey pins that the two key families
 // do not decode into each other: asking the ensemble path for a
-// single-detector key is a client error, not a silent fallback.
+// single-detector key, or the single-detector path for an ensemble key,
+// is a client error, not a silent fallback.
 func TestClassifyEnsembleRejectsForeignKey(t *testing.T) {
 	_, client := newEnsembleTestServer(t)
 	req := ClassifyRequest{
@@ -184,24 +186,48 @@ func TestClassifyEnsembleRejectsForeignKey(t *testing.T) {
 	if !strings.Contains(apiErr.Message, "not an ensemble key") {
 		t.Errorf("error %q does not name the key family mismatch", apiErr.Message)
 	}
+
+	// The other direction: a single-detector classify naming an
+	// ensemble key.
+	req = ClassifyRequest{
+		Detector: EnsembleSpec{Quick: true, Seed: 1}.Key(),
+		Events:   []string{attrHITM, attrMiss}, Vector: []float64{0.6, 0.05},
+	}
+	_, err = client.Classify(context.Background(), req)
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 {
+		t.Fatalf("plain classify with an ensemble key: got %v, want a 400 APIError", err)
+	}
+	if !strings.Contains(apiErr.Message, "is an ensemble key") {
+		t.Errorf("error %q does not name the key family mismatch", apiErr.Message)
+	}
 }
 
-// TestEnsembleRegistryWarmStartAndQuarantine exercises the disk side:
-// first Get trains and persists, a fresh registry over the same dir
-// warm-starts without training, and a corrupted model file is
-// quarantined and retrained instead of poisoning the server.
+// TestEnsembleRegistryWarmStartAndQuarantine exercises the registry's
+// disk side for ensemble keys: first Get trains and persists, a fresh
+// registry over the same dir warm-starts without training, and a
+// corrupted model file is quarantined and retrained instead of
+// poisoning the server.
 func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 	dir := t.TempDir()
+	det := tinyDetector(t)
 	ens := tinyEnsemble(t)
 	var trains atomic.Int64
-	train := func(EnsembleSpec) (*ensemble.Detector, error) {
-		trains.Add(1)
-		return ens, nil
+	newReg := func(m *Metrics) *Registry {
+		reg := NewRegistry(RegistryConfig{
+			Dir:     dir,
+			Metrics: m,
+			Train:   func(TrainSpec) (*core.Detector, error) { return det, nil },
+		})
+		reg.trainEnsemble = func(EnsembleSpec, *core.Detector) (*ensemble.Detector, error) {
+			trains.Add(1)
+			return ens, nil
+		}
+		return reg
 	}
+	ctx := context.Background()
 	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
 
-	reg1 := newEnsembleRegistry(dir, 0, train, nil)
-	if _, err := reg1.Get(context.Background(), key); err != nil {
+	if _, _, err := newReg(nil).Ensemble(ctx, key); err != nil {
 		t.Fatal(err)
 	}
 	if n := trains.Load(); n != 1 {
@@ -212,8 +238,7 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 		t.Fatalf("model file not persisted: %v", err)
 	}
 
-	reg2 := newEnsembleRegistry(dir, 0, train, nil)
-	got, err := reg2.Get(context.Background(), key)
+	got, _, err := newReg(nil).Ensemble(ctx, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +253,7 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMetrics()
-	reg3 := newEnsembleRegistry(dir, 0, train, m)
-	if _, err := reg3.Get(context.Background(), key); err != nil {
+	if _, _, err := newReg(m).Ensemble(ctx, key); err != nil {
 		t.Fatal(err)
 	}
 	if n := trains.Load(); n != 2 {
@@ -247,6 +271,48 @@ func TestEnsembleRegistryWarmStartAndQuarantine(t *testing.T) {
 	}
 }
 
+// TestEnsembleReusesRegistryBase pins the cold-start cost: a default
+// classify followed by an ?ensemble=1 classify trains the base detector
+// once, and the ensemble trainer receives the registry's detector for
+// the spec's train: key rather than training its own.
+func TestEnsembleReusesRegistryBase(t *testing.T) {
+	det := tinyDetector(t)
+	ens := tinyEnsemble(t)
+	var trains atomic.Int64
+	var gotBase atomic.Pointer[core.Detector]
+	s, client := newTestServer(t, Config{
+		Train: func(TrainSpec) (*core.Detector, error) {
+			trains.Add(1)
+			return det, nil
+		},
+		TrainEnsemble: func(_ EnsembleSpec, base *core.Detector) (*ensemble.Detector, error) {
+			gotBase.Store(base)
+			return ens, nil
+		},
+	})
+	ctx := context.Background()
+	if _, err := client.Classify(ctx, ClassifyRequest{
+		Events: []string{attrHITM, attrMiss}, Vector: []float64{0.6, 0.05},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.ClassifyEnsemble(ctx, ClassifyRequest{
+		Events: tinyWideAttrs, Vector: tinyWideVector("good", 2),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := trains.Load(); n != 1 {
+		t.Errorf("base detector trained %d times, want 1", n)
+	}
+	regDet, hit, err := s.Registry().Get(ctx, TrainSpec{Quick: true, Seed: 1}.Key())
+	if err != nil || !hit {
+		t.Fatalf("registry base: hit=%v err=%v", hit, err)
+	}
+	if base := gotBase.Load(); base != regDet {
+		t.Errorf("ensemble trainer got base %p, want the registry's detector %p", base, regDet)
+	}
+}
+
 // TestDetectorsListIncludesEnsembles pins that GET /v1/detectors shows
 // resident ensembles beside the single detectors, and that the disk
 // listing reverses the ensemble key mangling.
@@ -255,7 +321,7 @@ func TestDetectorsListIncludesEnsembles(t *testing.T) {
 	dir := t.TempDir()
 	_, client := newTestServer(t, Config{
 		RegistryDir:   dir,
-		TrainEnsemble: func(EnsembleSpec) (*ensemble.Detector, error) { return ens, nil },
+		TrainEnsemble: func(EnsembleSpec, *core.Detector) (*ensemble.Detector, error) { return ens, nil },
 	})
 	key := EnsembleSpec{Quick: true, Seed: 1}.Key()
 	if _, err := client.ClassifyEnsemble(context.Background(), ClassifyRequest{

@@ -318,17 +318,17 @@ func TestChaosDriftRetrainPromoteRollback(t *testing.T) {
 // tree walk per sampled request). This is the number behind the
 // "shadow overhead" row in EXPERIMENTS.md (`make bench-snapshot`).
 func BenchmarkShadowMirror(b *testing.B) {
-	req := &ClassifyRequest{Events: []string{attrHITM, attrMiss}, Vector: vecFS}
+	in := &classifyInput{events: []string{attrHITM, attrMiss}, vecs: vecFS, width: len(vecFS)}
 
 	run := func(b *testing.B, s *Server) {
 		b.Helper()
-		det, key, err := s.detector(context.Background(), "")
-		if err != nil {
+		ctx := context.Background()
+		if _, err := s.classify(ctx, in); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.classifyVector(verdictor{det: det}, key, req); err != nil {
+			if _, err := s.classify(ctx, in); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,12 +1,14 @@
 package serve
 
-// The detector registry: a content-hash-keyed, LRU-bounded cache of
-// trained core.Detectors. Detectors enter it three ways — uploaded over
-// the wire (POST /v1/detectors), warm-loaded from a disk directory of
-// serialized models, or trained lazily on first use from a train-spec
-// key. Concurrent requests for the same untrained key share one training
-// run (singleflight): the first caller does the work, everyone else
-// waits on the entry, and nobody trains twice.
+// The model registry: one LRU-bounded cache for every model the server
+// holds, told apart by key family. "sha256:" keys are uploaded detectors
+// (POST /v1/detectors), "train:" keys are detectors trained lazily on
+// first use, and "ensemble:" keys are multi-pathology ensembles trained
+// lazily around the registry's own "train:" detector of the same spec.
+// Any model may also warm-load from a disk directory of serialized
+// models. Concurrent requests for the same untrained key share one
+// training run (singleflight): the first caller does the work, everyone
+// else waits on the entry, and nobody trains twice.
 
 import (
 	"container/list"
@@ -26,6 +28,7 @@ import (
 	"time"
 
 	"fsml/internal/core"
+	"fsml/internal/ensemble"
 	"fsml/internal/exps"
 	"fsml/internal/fsatomic"
 	"fsml/internal/resilience"
@@ -42,17 +45,44 @@ type TrainSpec struct {
 }
 
 // Key returns the canonical registry key of the spec.
-func (s TrainSpec) Key() string {
+func (s TrainSpec) Key() string { return specKey("train:", s) }
+
+// EnsembleSpec identifies a lazily trainable multi-pathology ensemble:
+// the collection options that matter for the resulting model. Its Key
+// is canonical, and its base detector is the TrainSpec of the same
+// fields.
+type EnsembleSpec struct {
+	// Quick selects the reduced widened grids.
+	Quick bool
+	// Seed drives collection and bagging determinism (0 means 1).
+	Seed uint64
+}
+
+// Key returns the canonical registry key of the spec.
+func (s EnsembleSpec) Key() string { return specKey("ensemble:", TrainSpec(s)) }
+
+// specKey renders a spec key of the given family ("train:" or
+// "ensemble:").
+func specKey(family string, s TrainSpec) string {
 	seed := s.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	return fmt.Sprintf("train:quick=%t,seed=%d", s.Quick, seed)
+	return fmt.Sprintf("%squick=%t,seed=%d", family, s.Quick, seed)
 }
 
 // parseTrainKey parses a "train:quick=...,seed=..." registry key.
-func parseTrainKey(key string) (TrainSpec, bool) {
-	rest, ok := strings.CutPrefix(key, "train:")
+func parseTrainKey(key string) (TrainSpec, bool) { return parseSpecKey("train:", key) }
+
+// parseEnsembleKey parses an "ensemble:quick=...,seed=..." registry key.
+func parseEnsembleKey(key string) (EnsembleSpec, bool) {
+	spec, ok := parseSpecKey("ensemble:", key)
+	return EnsembleSpec(spec), ok
+}
+
+// parseSpecKey parses a spec key of the given family.
+func parseSpecKey(family, key string) (TrainSpec, bool) {
+	rest, ok := strings.CutPrefix(key, family)
 	if !ok {
 		return TrainSpec{}, false
 	}
@@ -109,7 +139,8 @@ func ModelKey(model []byte) (string, error) {
 
 // RegistryConfig configures a Registry.
 type RegistryConfig struct {
-	// Capacity bounds the resident detectors (LRU eviction; default 8).
+	// Capacity bounds the resident models, ensembles included (LRU
+	// eviction; default 8).
 	Capacity int
 	// Dir, when non-empty, is the disk side of the registry: models are
 	// persisted there as <key>.json after upload or training, and a Get
@@ -118,13 +149,14 @@ type RegistryConfig struct {
 	// Parallelism caps concurrent case simulations during lazy training
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Train overrides the lazy trainer (tests inject counting or instant
-	// trainers). Nil selects the exps.Lab pipeline.
+	// Train overrides the lazy detector trainer (tests inject counting or
+	// instant trainers). Nil selects the exps.Lab pipeline. Ensembles
+	// train around its detectors.
 	Train func(spec TrainSpec) (*core.Detector, error)
 	// Metrics, when non-nil, receives hit/miss/eviction counts.
 	Metrics *Metrics
 	// BreakerThreshold is the consecutive training failures that open a
-	// train spec's circuit breaker, after which requests for that spec
+	// spec key's circuit breaker, after which requests for that spec
 	// fail fast instead of re-running full training (default 3;
 	// negative disables the breakers).
 	BreakerThreshold int
@@ -135,15 +167,43 @@ type RegistryConfig struct {
 	Now func() time.Time
 }
 
-// entry is one registry slot. ready is closed once det/err are final;
-// until then the entry is "loading" and Get calls wait on it. det,
-// source, and err are only ever written under Registry.mu, so List may
-// read them under the lock without waiting on ready.
+// model is what a registry key resolves to: a single detector for
+// "train:" and "sha256:" keys, an ensemble for "ensemble:" keys.
+type model struct {
+	det *core.Detector
+	ens *ensemble.Detector
+}
+
+// encode serializes whichever model is set.
+func (m model) encode() ([]byte, error) {
+	if m.ens != nil {
+		return m.ens.Encode()
+	}
+	return m.det.Encode()
+}
+
+// decodeModel decodes a model file of the key's family.
+func decodeModel(key string, blob []byte) (model, error) {
+	if isEnsembleKey(key) {
+		ens, err := ensemble.Decode(blob)
+		return model{ens: ens}, err
+	}
+	det, err := core.DecodeDetector(blob)
+	return model{det: det}, err
+}
+
+// isEnsembleKey reports whether key belongs to the ensemble family.
+func isEnsembleKey(key string) bool { return strings.HasPrefix(key, "ensemble:") }
+
+// entry is one registry slot. ready is closed once the model/err are
+// final; until then the entry is "loading" and Get calls wait on it.
+// The model, source, and err are only ever written under Registry.mu,
+// so List may read them under the lock without waiting on ready.
 type entry struct {
+	model
 	key    string
 	source string // "upload" | "disk" | "trained"
 	ready  chan struct{}
-	det    *core.Detector
 	err    error
 	elem   *list.Element
 }
@@ -157,9 +217,13 @@ type DetectorInfo struct {
 	TrainedOn map[string]int `json:"trained_on,omitempty"`
 }
 
-// Registry is the detector cache. Safe for concurrent use.
+// Registry is the model cache. Safe for concurrent use.
 type Registry struct {
 	cfg RegistryConfig
+	// trainEnsemble trains an "ensemble:" key's model around the
+	// registry's detector for the matching "train:" key. The server
+	// swaps in Config.TrainEnsemble when a test sets it.
+	trainEnsemble func(spec EnsembleSpec, base *core.Detector) (*ensemble.Detector, error)
 
 	mu       sync.Mutex
 	entries  map[string]*entry
@@ -218,7 +282,15 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 		}
 	}
 	r := &Registry{
-		cfg:      cfg,
+		cfg: cfg,
+		trainEnsemble: func(spec EnsembleSpec, base *core.Detector) (*ensemble.Detector, error) {
+			seed := spec.Seed
+			if seed == 0 {
+				seed = 1
+			}
+			tcfg := ensemble.TrainConfig{Quick: spec.Quick, Seed: seed, Parallelism: cfg.Parallelism}
+			return ensemble.TrainContext(context.Background(), tcfg, base)
+		},
 		entries:  map[string]*entry{},
 		lru:      list.New(),
 		breakers: map[string]*resilience.Breaker{},
@@ -346,7 +418,7 @@ func (r *Registry) pinnedLocked() map[string]bool {
 	return pinned
 }
 
-// breakerFor returns the training circuit breaker of a train-spec key,
+// breakerFor returns the training circuit breaker of a spec key,
 // creating it on first use (nil when breakers are disabled). Breaker
 // transitions feed the metrics so an open circuit is visible in a
 // scrape and in /readyz.
@@ -377,7 +449,7 @@ func (r *Registry) breakerFor(key string) *resilience.Breaker {
 	return b
 }
 
-// OpenBreakers lists the train-spec keys whose breaker is not closed
+// OpenBreakers lists the spec keys whose breaker is not closed
 // (sorted). /readyz reports them so an operator sees which specs are
 // failing without grepping logs.
 func (r *Registry) OpenBreakers() []string {
@@ -393,12 +465,12 @@ func (r *Registry) OpenBreakers() []string {
 	return out
 }
 
-// TrainingUnavailableError reports a train-spec key whose circuit
+// TrainingUnavailableError reports a spec key whose circuit
 // breaker is open: training has failed repeatedly and the registry is
 // failing fast until the cooldown's half-open probe (HTTP 503 with
 // Retry-After).
 type TrainingUnavailableError struct {
-	// Key is the failing train-spec registry key.
+	// Key is the failing spec registry key.
 	Key string
 	// RetryAfter is how long until the breaker admits a probe.
 	RetryAfter time.Duration
@@ -418,8 +490,28 @@ func (r *Registry) count(name string) {
 // Get returns the detector for key, loading or training it on first use.
 // hit reports whether the key was already resident (ready or in flight);
 // a waiter on an in-flight load counts as a hit because it triggered no
-// work. Waiting is bounded by ctx.
+// work. Waiting is bounded by ctx. Ensemble keys are a client error
+// here; they resolve through Ensemble.
 func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit bool, err error) {
+	if isEnsembleKey(key) {
+		return nil, false, badRequestf("classify: %q is an ensemble key (classify with ?ensemble=1)", key)
+	}
+	m, hit, err := r.get(ctx, key)
+	return m.det, hit, err
+}
+
+// Ensemble is Get for the "ensemble:" key family. Any other key is a
+// client error: the families do not decode into each other.
+func (r *Registry) Ensemble(ctx context.Context, key string) (ens *ensemble.Detector, hit bool, err error) {
+	if _, ok := parseEnsembleKey(key); !ok {
+		return nil, false, badRequestf("classify: %q is not an ensemble key (want ensemble:quick=...,seed=...)", key)
+	}
+	m, hit, err := r.get(ctx, key)
+	return m.ens, hit, err
+}
+
+// get resolves any key: the resident entry, or a singleflight load.
+func (r *Registry) get(ctx context.Context, key string) (model, bool, error) {
 	r.mu.Lock()
 	if e, ok := r.entries[key]; ok {
 		r.lru.MoveToFront(e.elem)
@@ -427,9 +519,9 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 		r.count(mRegistryHits)
 		select {
 		case <-e.ready:
-			return e.det, true, e.err
+			return e.model, true, e.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return model{}, true, ctx.Err()
 		}
 	}
 	// Miss: create the in-flight entry while still holding the lock, so
@@ -443,11 +535,11 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 	r.count(mRegistryMisses)
 
 	// Publish the load result under the lock: List reads e.source (and
-	// Get's hit path reads det/err after ready) concurrently, so the
-	// fields must never be written outside r.mu.
-	det, source, lerr := r.load(key)
+	// Get's hit path reads the model/err after ready) concurrently, so
+	// the fields must never be written outside r.mu.
+	m, source, lerr := r.load(key)
 	r.mu.Lock()
-	e.det, e.source, e.err = det, source, lerr
+	e.model, e.source, e.err = m, source, lerr
 	close(e.ready)
 	if lerr != nil {
 		// Drop the failed entry so a later request can retry.
@@ -458,14 +550,39 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 	}
 	r.mu.Unlock()
 	if lerr != nil {
-		return nil, false, lerr
+		return model{}, false, lerr
 	}
-	return det, false, nil
+	return m, false, nil
+}
+
+// trainerFor returns the lazy trainer of a spec key ("train:" or
+// "ensemble:"); ok is false for content-hash and unknown keys. An
+// ensemble's base detector is the registry's own entry for the "train:"
+// key of the same spec, so a cold start trains that detector once and
+// the ensemble reuses it.
+func (r *Registry) trainerFor(key string) (train func() (model, error), ok bool) {
+	if spec, ok := parseTrainKey(key); ok {
+		return func() (model, error) {
+			det, err := r.cfg.Train(spec)
+			return model{det: det}, err
+		}, true
+	}
+	if spec, ok := parseEnsembleKey(key); ok {
+		return func() (model, error) {
+			base, _, err := r.Get(context.Background(), TrainSpec(spec).Key())
+			if err != nil {
+				return model{}, err
+			}
+			ens, err := r.trainEnsemble(spec, base)
+			return model{ens: ens}, err
+		}, true
+	}
+	return nil, false
 }
 
 // load resolves a missing key: disk first (warm start), then the lazy
-// trainer for train-spec keys. Unknown content-hash keys are an error —
-// the bytes behind them exist nowhere.
+// trainer for spec keys. Unknown content-hash keys are an error — the
+// bytes behind them exist nowhere.
 //
 // A model file that exists but does not decode (truncated by a crash
 // mid-write, bit-rotted, or written by an incompatible build) is
@@ -474,56 +591,57 @@ func (r *Registry) Get(ctx context.Context, key string) (det *core.Detector, hit
 // instead of making the key permanently unservable. Content-hash keys
 // have no trainer to fall through to; for them the quarantine error
 // surfaces.
-func (r *Registry) load(key string) (*core.Detector, string, error) {
+func (r *Registry) load(key string) (model, string, error) {
+	train, trainable := r.trainerFor(key)
 	if r.cfg.Dir != "" {
 		path := r.fileFor(key)
 		blob, err := os.ReadFile(path)
 		switch {
 		case err == nil:
-			det, derr := core.DecodeDetector(blob)
+			m, derr := decodeModel(key, blob)
 			if derr == nil {
-				return det, "disk", nil
+				return m, "disk", nil
 			}
 			if qerr := r.quarantine(path); qerr != nil {
 				// Can't even move the bad file aside; surface the decode
 				// error (a typed *core.FormatError names the found and
 				// wanted versions) so the operator knows which entry to
 				// delete by hand.
-				return nil, "", fmt.Errorf("serve: registry warm start from %s: %w (quarantine failed: %v)", path, derr, qerr)
+				return model{}, "", fmt.Errorf("serve: registry warm start from %s: %w (quarantine failed: %v)", path, derr, qerr)
 			}
-			if _, ok := parseTrainKey(key); !ok {
-				return nil, "", fmt.Errorf("serve: registry warm start from %s: %w (quarantined to %s; %s is content-keyed and must be re-uploaded)", path, derr, quarantinePath(path), key)
+			if !trainable {
+				return model{}, "", fmt.Errorf("serve: registry warm start from %s: %w (quarantined to %s; %s is content-keyed and must be re-uploaded)", path, derr, quarantinePath(path), key)
 			}
-			// Train-spec key: retrain below as if the file never existed.
+			// Spec key: retrain below as if the file never existed.
 		case !errors.Is(err, fs.ErrNotExist):
 			// A model file exists but cannot be read (permissions, I/O
 			// fault). Falling through to retraining would mask the disk
 			// problem and could overwrite the file; surface it instead.
-			return nil, "", fmt.Errorf("serve: registry warm start reading %s: %w", path, err)
+			return model{}, "", fmt.Errorf("serve: registry warm start reading %s: %w", path, err)
 		}
 	}
-	if spec, ok := parseTrainKey(key); ok {
-		br := r.breakerFor(key)
-		if br != nil {
-			if err := br.Allow(); err != nil {
-				r.count(mBreakerFastFail)
-				return nil, "", &TrainingUnavailableError{Key: key, RetryAfter: br.RetryAfter()}
-			}
-		}
-		det, err := r.cfg.Train(spec)
-		if err != nil {
-			if br != nil {
-				br.Failure()
-			}
-			return nil, "", fmt.Errorf("serve: training %s: %w", key, err)
-		}
-		if br != nil {
-			br.Success()
-		}
-		r.persist(key, det)
-		return det, "trained", nil
+	if !trainable {
+		return model{}, "", &UnknownDetectorError{Key: key}
 	}
-	return nil, "", &UnknownDetectorError{Key: key}
+	br := r.breakerFor(key)
+	if br != nil {
+		if err := br.Allow(); err != nil {
+			r.count(mBreakerFastFail)
+			return model{}, "", &TrainingUnavailableError{Key: key, RetryAfter: br.RetryAfter()}
+		}
+	}
+	m, err := train()
+	if err != nil {
+		if br != nil {
+			br.Failure()
+		}
+		return model{}, "", fmt.Errorf("serve: training %s: %w", key, err)
+	}
+	if br != nil {
+		br.Success()
+	}
+	r.persist(key, m)
+	return m, "trained", nil
 }
 
 // quarantinePath maps a model file to its quarantine name.
@@ -558,14 +676,14 @@ func (r *Registry) Register(det *core.Detector) (key string, existed bool, err e
 		<-e.ready // content-keyed entries are inserted ready; never blocks long
 		return key, true, e.err
 	}
-	e := &entry{key: key, source: "upload", ready: make(chan struct{}), det: det}
+	e := &entry{model: model{det: det}, key: key, source: "upload", ready: make(chan struct{})}
 	close(e.ready)
 	e.elem = r.lru.PushFront(e)
 	r.entries[key] = e
 	r.evictLocked()
 	r.mu.Unlock()
 	r.count(mRegistryMisses)
-	r.persist(key, det)
+	r.persist(key, model{det: det})
 	return key, false, nil
 }
 
@@ -575,11 +693,11 @@ func (r *Registry) Register(det *core.Detector) (key string, existed bool, err e
 // crash mid-persist leaves either the previous good model or nothing,
 // never a truncated file (which a later warm start would have to
 // quarantine and retrain).
-func (r *Registry) persist(key string, det *core.Detector) {
+func (r *Registry) persist(key string, m model) {
 	if r.cfg.Dir == "" {
 		return
 	}
-	blob, err := det.Encode()
+	blob, err := m.encode()
 	if err != nil {
 		return
 	}
@@ -635,7 +753,8 @@ func (r *Registry) evictLocked() {
 	}
 }
 
-// List returns the resident entries, most recently used first.
+// List returns the resident entries of every key family, most recently
+// used first.
 func (r *Registry) List() []DetectorInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -647,7 +766,9 @@ func (r *Registry) List() []DetectorInfo {
 		case <-e.ready:
 			if e.err == nil {
 				info.State = "ready"
-				info.TrainedOn = e.det.TrainedOn
+				if e.det != nil {
+					info.TrainedOn = e.det.TrainedOn
+				}
 			}
 		default:
 		}

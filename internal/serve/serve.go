@@ -1,7 +1,7 @@
 // Package serve is the detection-as-a-service layer: a long-running
-// HTTP server that keeps trained detectors hot in a registry, batches
-// inference requests through the deterministic batch engine, and exposes
-// the paper's pipeline as a JSON API.
+// HTTP server that keeps trained detectors hot in a registry, classifies
+// each request inline through one pipeline (see classify.go), and
+// exposes the paper's pipeline as a JSON API.
 //
 // Endpoints:
 //
@@ -20,10 +20,9 @@
 //	GET  /readyz         readiness: overload, shutdown, breaker state
 //	GET  /metrics        self-contained counters and histograms
 //
-// Everything is stdlib net/http. Verdicts served through the batched
-// path are byte-identical to one-shot classification: each request owns
-// its seed and its simulated machine, so batching and parallelism change
-// wall-clock time only.
+// Everything is stdlib net/http. Served verdicts are byte-identical to
+// one-shot classification: each request owns its seed and its simulated
+// machine, so concurrency and parallelism change wall-clock time only.
 //
 // The server is built to stay up under abuse (see internal/resilience):
 // classify and report admissions are bounded per endpoint and shed with
@@ -37,17 +36,14 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -55,36 +51,26 @@ import (
 	"fsml/internal/ensemble"
 	"fsml/internal/faults"
 	"fsml/internal/lifecycle"
-	"fsml/internal/perfingest"
-	"fsml/internal/pmu"
 	"fsml/internal/report"
 	"fsml/internal/resilience"
 	"fsml/internal/stream"
 	"fsml/internal/suite"
-	"fsml/internal/trace"
-	"fsml/internal/xrand"
 )
 
 // Config shapes a Server. The zero value serves on 127.0.0.1:8723 with a
-// quick-trained default detector, batches of up to 16 with a 2ms linger,
-// and an 8-entry registry.
+// quick-trained default detector and an 8-entry registry.
 type Config struct {
 	// Addr is the listen address for Start (default "127.0.0.1:8723").
 	Addr string
-	// MaxBatch caps how many classify requests one micro-batch groups
-	// (default 16; 1 disables batching).
-	MaxBatch int
-	// Linger is how long a forming batch waits for stragglers before it
-	// executes short of MaxBatch (default 2ms; negative disables the
-	// wait so batches form only from already queued requests).
-	Linger time.Duration
-	// Parallelism caps concurrent case simulations per batch and sweep
-	// (0 = GOMAXPROCS).
+	// Parallelism caps concurrent case simulations per report sweep and
+	// per lazy training run (0 = GOMAXPROCS). Classify requests run
+	// inline, one per admitted handler; MaxInflight bounds those.
 	Parallelism int
 	// RegistryDir, when non-empty, persists trained/uploaded models and
 	// warm-starts the registry from disk (see Registry).
 	RegistryDir string
-	// RegistryCapacity bounds resident detectors (default 8).
+	// RegistryCapacity bounds resident models, ensembles included
+	// (default 8).
 	RegistryCapacity int
 	// DefaultDetector is the registry key used when a request names none
 	// (default: the quick seed-1 train spec, so an empty config serves
@@ -115,9 +101,10 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// Train overrides the registry's lazy trainer (tests).
 	Train func(spec TrainSpec) (*core.Detector, error)
-	// TrainEnsemble overrides the ensemble registry's lazy trainer
-	// (tests). Nil selects the exps.Lab base + widened-grid pipeline.
-	TrainEnsemble func(spec EnsembleSpec) (*ensemble.Detector, error)
+	// TrainEnsemble overrides the registry's lazy ensemble trainer
+	// (tests). base is the registry's detector for the spec's "train:"
+	// key. Nil selects the widened-grid pipeline.
+	TrainEnsemble func(spec EnsembleSpec, base *core.Detector) (*ensemble.Detector, error)
 	// Lifecycle, when non-nil, enables the self-healing model loop:
 	// drift alarms from watch sessions debounce into a retrain, the
 	// candidate shadow-scores live traffic beside the incumbent, and
@@ -137,12 +124,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:8723"
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 16
-	}
-	if c.Linger == 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.RegistryCapacity <= 0 {
 		c.RegistryCapacity = 8
@@ -173,8 +154,6 @@ type Server struct {
 	cfg     Config
 	metrics *Metrics
 	reg     *Registry
-	ens     *ensembleRegistry
-	batcher *Batcher
 
 	limClassify *resilience.Limiter
 	limReport   *resilience.Limiter
@@ -226,13 +205,14 @@ func New(cfg Config) *Server {
 			BreakerThreshold: cfg.BreakerThreshold,
 			BreakerCooldown:  cfg.BreakerCooldown,
 		}),
-		ens:          newEnsembleRegistry(cfg.RegistryDir, cfg.Parallelism, cfg.TrainEnsemble, m),
-		batcher:      NewBatcher(cfg.MaxBatch, cfg.Linger, cfg.Parallelism, m),
 		limClassify:  resilience.NewLimiter(cfg.MaxInflight, shedAfter),
 		limReport:    resilience.NewLimiter(cfg.MaxInflight, shedAfter),
 		limWatch:     resilience.NewLimiter(cfg.MaxInflight, shedAfter),
 		watchStop:    make(chan struct{}),
 		handlersDone: make(chan struct{}),
+	}
+	if cfg.TrainEnsemble != nil {
+		s.reg.trainEnsemble = cfg.TrainEnsemble
 	}
 	if cfg.Lifecycle != nil {
 		s.initLifecycle()
@@ -243,7 +223,7 @@ func New(cfg Config) *Server {
 // Metrics exposes the server's metric registry (tests and embedders).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Registry exposes the detector registry (embedders that pre-register).
+// Registry exposes the model registry (embedders that pre-register).
 func (s *Server) Registry() *Registry { return s.reg }
 
 // RequestIDHeader is the correlation header. A fleet coordinator (or
@@ -323,9 +303,8 @@ func (w *statusWriter) Flush() {
 // admit is the admission-control middleware. It rejects requests that
 // arrive after shutdown began (503, never queued), sheds over-limit
 // requests once the shed window expires (429 + Retry-After), and tracks
-// admitted handlers so Shutdown can drain them before closing the
-// batcher. lim may be nil for endpoints that only need the shutdown
-// gate.
+// admitted handlers so Shutdown can drain them. lim may be nil for
+// endpoints that only need the shutdown gate.
 func (s *Server) admit(lim *resilience.Limiter, shedMetric string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -413,12 +392,11 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains gracefully: close the admission gate (new requests
-// get 503, never queued), stop accepting connections, wait for every
-// already-admitted handler to complete (their batched jobs keep
-// executing), then close the batcher once no handler can submit
-// anymore. The whole drain is bounded by ctx: if admitted handlers or
-// queued batches outlive the deadline, Shutdown returns ctx.Err() and
-// leaves the drain goroutine to finish behind it.
+// get 503, never queued), stop accepting connections, and wait for every
+// already-admitted handler — classification included, since it runs
+// inline — to complete. The whole drain is bounded by ctx: if admitted
+// handlers outlive the deadline, Shutdown returns ctx.Err() and leaves
+// the drain goroutine to finish behind it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.shutting {
@@ -438,8 +416,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	drained := make(chan struct{})
 	go func() {
-		<-s.handlersDone  // admitted handlers first ...
-		s.batcher.Close() // ... then the batches they queued
+		<-s.handlersDone // admitted handlers first ...
 		if s.lc != nil {
 			s.lc.Close() // ... then the loop (finalizes the open run)
 		}
@@ -460,6 +437,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // maxBodyBytes bounds request bodies (uploaded traces dominate).
 const maxBodyBytes = 64 << 20
+
+// ErrShuttingDown rejects requests that arrive after shutdown began
+// (HTTP 503).
+var ErrShuttingDown = errors.New("serve: server is shutting down")
 
 // badRequestError marks client errors (HTTP 400).
 type badRequestError struct{ msg string }
@@ -655,7 +636,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleListDetectors(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.Add(mReqDetectors, 1)
 	writeJSON(w, DetectorsResponse{
-		Detectors: append(s.reg.List(), s.ens.List()...),
+		Detectors: s.reg.List(),
 		Capacity:  s.cfg.RegistryCapacity,
 		Disk:      s.reg.DiskKeys(),
 	})
@@ -696,250 +677,6 @@ func (s *Server) handleRegisterDetector(w http.ResponseWriter, r *http.Request) 
 	default:
 		s.writeError(w, badRequestf("register: need a model upload or a train spec"))
 	}
-}
-
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	// Observed via defer so error and timeout responses land in the
-	// latency histogram too, not just successes.
-	defer func() { s.metrics.Observe(mRequestSec, latencyBuckets, time.Since(t0).Seconds()) }()
-	s.metrics.Add(mReqClassify, 1)
-	if isPerfUpload(r) {
-		s.classifyPerfUpload(w, r)
-		return
-	}
-	var req ClassifyRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
-	defer cancel()
-	if err := validateClassify(&req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	vd, key, err := s.verdictorFor(ctx, r, req.Detector)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.batcher.Submit(ctx, func() (*ClassifyResponse, error) {
-		c0 := time.Now()
-		resp, err := s.classifyOne(vd, key, &req)
-		s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds())
-		return resp, err
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if resp.Degraded {
-		s.metrics.Add(mDegraded, 1)
-	}
-	writeJSON(w, resp)
-}
-
-// validateClassify enforces the request invariants before any work is
-// queued.
-func validateClassify(req *ClassifyRequest) error {
-	hasVector := len(req.Vector) > 0
-	hasTrace := len(req.Trace) > 0
-	switch {
-	case hasVector && hasTrace:
-		return badRequestf("classify: set vector or trace, not both")
-	case !hasVector && !hasTrace:
-		return badRequestf("classify: need a vector or a trace")
-	}
-	if hasTrace && (len(req.Events) > 0 || len(req.SuspectEvents) > 0) {
-		return badRequestf("classify: events/suspect_events apply to vector requests only")
-	}
-	if hasVector && len(req.Events) > 0 && len(req.Events) != len(req.Vector) {
-		return badRequestf("classify: %d events but %d vector entries", len(req.Events), len(req.Vector))
-	}
-	return nil
-}
-
-// verdictorFor resolves a classify request's classifier: the ensemble
-// registry when the request opted in with ?ensemble=1, the detector
-// registry otherwise.
-func (s *Server) verdictorFor(ctx context.Context, r *http.Request, key string) (verdictor, string, error) {
-	if ensembleRequested(r.URL.Query().Get("ensemble")) {
-		ens, ekey, err := s.ensembleDetector(ctx, key)
-		return verdictor{ens: ens}, ekey, err
-	}
-	det, dkey, err := s.detector(ctx, key)
-	return verdictor{det: det}, dkey, err
-}
-
-// classifyOne performs one classification inside a batch slot.
-func (s *Server) classifyOne(vd verdictor, key string, req *ClassifyRequest) (*ClassifyResponse, error) {
-	if len(req.Trace) > 0 {
-		return s.classifyTrace(vd, key, req)
-	}
-	return s.classifyVector(vd, key, req)
-}
-
-// classifyVector classifies a pre-normalized event vector. The vector is
-// wrapped in a synthetic sample with an instruction normalizer of 1, so
-// the values pass through the detector's projection unchanged.
-func (s *Server) classifyVector(vd verdictor, key string, req *ClassifyRequest) (*ClassifyResponse, error) {
-	events := req.Events
-	if len(events) == 0 {
-		events = vd.attrs()
-		if len(events) != len(req.Vector) {
-			return nil, badRequestf("classify: detector expects %d events, vector has %d (name them via events)", len(events), len(req.Vector))
-		}
-	}
-	sample := pmu.Sample{Names: events, Counts: req.Vector, Instructions: 1}
-	if len(req.SuspectEvents) > 0 {
-		idx := make(map[string]int, len(events))
-		for i, n := range events {
-			idx[n] = i
-		}
-		sample.Flags = make([]pmu.CountFlag, len(events))
-		for _, n := range req.SuspectEvents {
-			i, ok := idx[n]
-			if !ok {
-				return nil, badRequestf("classify: suspect event %q is not in the vector", n)
-			}
-			sample.Flags[i] = pmu.FlagStuck
-		}
-	}
-	rr, paths, err := vd.classify(sample)
-	if err != nil {
-		return nil, badRequestf("classify: %v", err)
-	}
-	s.mirror(key, rr.Class, rr.Confidence, sample, nil)
-	return &ClassifyResponse{
-		Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
-		Suspects: rr.Suspects, Detector: key, Pathologies: paths,
-	}, nil
-}
-
-// classifyTrace replays an uploaded trace on a fresh simulated machine,
-// measures it with the emulated PMU (under the server's fault config,
-// if any), and classifies the measurement. An unusable sample — possible
-// only under fault injection — gets re-seeded retries, mirroring the
-// offline collector.
-func (s *Server) classifyTrace(vd verdictor, key string, req *ClassifyRequest) (*ClassifyResponse, error) {
-	tr, err := trace.Parse(bytes.NewReader(req.Trace))
-	if err != nil {
-		return nil, badRequestf("classify: %v", err)
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	c := core.NewCollector()
-	retries := 0
-	if s.cfg.Faults.Enabled() {
-		c.Faults = faults.New(s.cfg.Faults)
-		retries = 2
-	}
-	desc := fmt.Sprintf("serve/trace/seed=%d", seed)
-	var obs core.Observation
-	for a := 0; ; a++ {
-		attempt := seed
-		if a > 0 {
-			attempt = xrand.DeriveSeed(seed, uint64(a))
-		}
-		obs = c.Measure(desc, attempt, tr.Kernels())
-		if obs.Sample.Instructions > 0 || a >= retries {
-			break
-		}
-	}
-	rr, paths, err := vd.classify(obs.Sample)
-	if err != nil {
-		return nil, fmt.Errorf("classify: %w", err)
-	}
-	// Trace requests carry a replayable workload, so the shadow scorer
-	// can judge a disagreement against instrumentation ground truth.
-	s.mirror(key, rr.Class, rr.Confidence, obs.Sample, tr.Kernels())
-	return &ClassifyResponse{
-		Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
-		Suspects: rr.Suspects, Detector: key, Seconds: obs.Seconds,
-		Pathologies: paths,
-	}, nil
-}
-
-// PerfContentType is the POST /v1/classify media type for raw perf
-// tool output: the body is `perf stat` (human or -x, CSV, plain or
-// interval) or `perf c2c report` text, exactly as the tool printed it.
-// Because the body is not the JSON envelope, the detector key and
-// deadline ride in the query string: ?detector=KEY&timeout_ms=N.
-const PerfContentType = "text/x-perf-stat"
-
-// isPerfUpload reports whether a classify request carries raw perf
-// output instead of the JSON request envelope.
-func isPerfUpload(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == PerfContentType
-}
-
-// classifyPerfUpload classifies a raw perf capture: parse (format
-// auto-detected), map onto the Table-2 feature space through the alias
-// table, and classify robustly — features the capture did not measure
-// degrade the verdict's confidence rather than failing the request.
-// The response carries the detected format and any unmapped events so
-// callers can tell how much of their capture was actually used.
-func (s *Server) classifyPerfUpload(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.writeError(w, badRequestf("classify: reading perf upload: %v", err))
-		return
-	}
-	rep, err := perfingest.Parse(bytes.NewReader(body))
-	if err != nil {
-		s.writeError(w, badRequestf("classify: %v", err))
-		return
-	}
-	sample, mapping, err := rep.Sample()
-	if err != nil {
-		s.writeError(w, badRequestf("classify: %v", err))
-		return
-	}
-	q := r.URL.Query()
-	var timeoutMS int64
-	if v := q.Get("timeout_ms"); v != "" {
-		timeoutMS, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || timeoutMS < 0 {
-			s.writeError(w, badRequestf("classify: bad timeout_ms %q", v))
-			return
-		}
-	}
-	ctx, cancel := s.reqContext(r, timeoutMS)
-	defer cancel()
-	vd, key, err := s.verdictorFor(ctx, r, q.Get("detector"))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.batcher.Submit(ctx, func() (*ClassifyResponse, error) {
-		c0 := time.Now()
-		defer func() { s.metrics.Observe(mClassifySec, latencyBuckets, time.Since(c0).Seconds()) }()
-		rr, paths, err := vd.classify(sample)
-		if err != nil {
-			return nil, badRequestf("classify: %v", err)
-		}
-		s.mirror(key, rr.Class, rr.Confidence, sample, nil)
-		return &ClassifyResponse{
-			Class: rr.Class, Confidence: rr.Confidence, Degraded: rr.Degraded,
-			Suspects: rr.Suspects, Detector: key, Pathologies: paths,
-			PerfFormat: string(rep.Format), UnmappedEvents: mapping.Unmapped,
-		}, nil
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if resp.Degraded {
-		s.metrics.Add(mDegraded, 1)
-	}
-	writeJSON(w, resp)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {

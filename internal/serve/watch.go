@@ -359,10 +359,6 @@ func (c *Client) dialWatch(ctx context.Context, q WatchQuery) (*http.Response, e
 	if enc := q.values().Encode(); enc != "" {
 		path += "?" + enc
 	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	for attempt := 0; ; attempt++ {
 		target, err := c.endpoint(path)
 		if err != nil {
@@ -373,7 +369,7 @@ func (c *Client) dialWatch(ctx context.Context, q WatchQuery) (*http.Response, e
 			return nil, err
 		}
 		req.Header.Set("Accept", "text/event-stream")
-		resp, err := hc.Do(req)
+		resp, err := c.httpClient().Do(req)
 		if err == nil && resp.StatusCode == http.StatusOK {
 			return resp, nil
 		}
