@@ -19,7 +19,8 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the concurrency-sensitive packages under the race detector.
+# race runs the concurrency-sensitive packages under the race detector
+# (ci.sh runs it).
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 
@@ -32,9 +33,10 @@ fuzz:
 # target with the unit tests filtered out, so regressions in their
 # robustness surface on every push. The ingestion parsers (access
 # traces, perf output) and spec parsers come first; then inference
-# equivalence and wire robustness: the flat tree must stay
-# bit-identical to the pointer tree, and garbage binary frames must
-# always land in typed errors.
+# equivalence and wire robustness: the compiled tree must stay
+# bit-identical to the pointer-tree oracle, every uploaded model that
+# decodes must classify to a finite confidence, and garbage binary
+# frames must always land in typed errors.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParsePerf -fuzztime 10s ./internal/perfingest
@@ -42,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseLifecycleSpec -fuzztime 10s ./internal/lifecycle
 	$(GO) test -run '^$$' -fuzz FuzzParseEnsembleSpec -fuzztime 10s ./internal/ensemble
 	$(GO) test -run '^$$' -fuzz FuzzFlatVsPointerTree -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDetector -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/serve
 
 # bench records the parallel-vs-sequential engine numbers (see

@@ -67,7 +67,9 @@ type (
 	Case = suite.Case
 	// Dataset is a labeled feature-vector collection.
 	Dataset = dataset.Dataset
-	// Tree is a trained C4.5 decision tree.
+	// Tree is a trained C4.5 decision tree in its training form: it
+	// renders (Figure 2) and serializes; Detector.FlatTree is the
+	// compiled form that predicts.
 	Tree = ml.Tree
 	// ShadowReport is the Umbra-style verification tool's verdict.
 	ShadowReport = shadow.Report

@@ -329,7 +329,7 @@ func BenchmarkDetectorClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in := d.Instances[i%d.Len()]
-		_ = det.Model.Predict(in.Features)
+		_ = det.FlatTree().Predict(in.Features)
 	}
 }
 

@@ -6,11 +6,8 @@ set -eux
 go build ./...
 go vet ./...
 go test ./...
-go test -race -count=1 ./internal/sched ./internal/core ./internal/suite \
-    ./internal/trace ./internal/mem ./internal/xrand ./internal/faults \
-    ./internal/serve ./internal/resilience ./internal/stream ./internal/ml \
-    ./internal/perfingest ./internal/fleet ./internal/lifecycle \
-    ./internal/ensemble
+# The race leg; the Makefile keeps the package list (RACE_PKGS).
+make race
 # The chaos legs: every serving failure mode at once, a fleet backend
 # killed mid-classify-storm, and the model lifecycle driven through
 # drift -> retrain -> shadow -> promote -> rollback, all

@@ -65,9 +65,9 @@
 //     pathology kernel families (tlbwalk, numaping, bwsat) behind the
 //     widened label space
 //   - internal/ml — C4.5 (J48 analog), naive Bayes, k-NN,
-//     cross-validation; trained trees compile to a flattened
-//     array form (FlatTree) for allocation-free batch inference,
-//     bit-identical to the pointer tree
+//     cross-validation; a trained Tree is only grown, rendered and
+//     serialized — Compile validates it into the flattened array form
+//     (FlatTree), the only form that predicts
 //   - internal/core — event selection, training-data collection, the
 //     detector
 //   - internal/ensemble — the multi-pathology ensemble: per-class

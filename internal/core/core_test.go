@@ -252,7 +252,7 @@ func TestDetectorRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, in := range d.Instances[:20] {
-		if got.Model.Predict(in.Features) != det.Model.Predict(in.Features) {
+		if got.FlatTree().Predict(in.Features) != det.FlatTree().Predict(in.Features) {
 			t.Fatalf("decoded detector predicts differently")
 		}
 	}

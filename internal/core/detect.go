@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"fsml/internal/dataset"
 	"fsml/internal/machine"
@@ -15,47 +17,54 @@ import (
 )
 
 // Detector is a trained false-sharing detector: the paper's step 6
-// artifact. It classifies normalized Table 2 event vectors into
-// good / bad-fs / bad-ma.
+// artifact, a C4.5 tree (the J48 analog) compiled once when the
+// detector is built. It classifies normalized Table 2 event vectors
+// into good / bad-fs / bad-ma. Build one with NewDetector (or
+// TrainDetector, DecodeDetector); a Detector assembled any other way
+// answers every classification with ErrNotCompiled.
 type Detector struct {
-	// Tree is the trained decision tree (the J48 analog). Detectors
-	// trained with other classifiers hold them in Model and leave Tree
-	// nil; only trees serialize.
+	// Tree is the trained decision tree: what renders (Figure 2) and
+	// serializes. It must not be modified after NewDetector; every
+	// prediction walks the form compiled from it.
 	Tree *ml.Tree
-	// Model is the live classifier (equals Tree when tree-trained).
-	Model ml.Classifier
 	// TrainedOn records the training-set composition for reports.
 	TrainedOn map[string]int
 
+	// flat is Tree's compiled inference form (see ml.Compile).
+	flat *ml.FlatTree
 	// proj caches the sample-layout -> tree-attribute projection of the
-	// classify hot path (see project.go). Zero value = cold cache.
-	proj projCache
-	// flat caches the tree's flattened inference form (see FlatTree).
-	// Zero value = cold cache.
-	flat flatCache
+	// classify hot path (see project.go). Nil = cold cache.
+	proj atomic.Pointer[projection]
 }
 
-// FlatTree returns the detector's flattened inference form — the
-// contiguous index-based layout every classification walks (see
-// ml.Compile). TrainDetector and DecodeDetector compile it eagerly;
-// detectors assembled as struct literals (tests, embedders) get it
-// compiled and cached here on first use. Nil for non-tree detectors
-// and for hand-built trees that do not compile — those fall back to
-// the pointer walk, so a Detector is never less capable than before.
-func (d *Detector) FlatTree() *ml.FlatTree {
-	if d.Tree == nil {
-		return nil
-	}
-	if f := d.flat.Load(); f != nil {
-		return f
-	}
-	f, err := ml.Compile(d.Tree)
+// ErrNotCompiled is returned by every classification on a Detector that
+// was not built by NewDetector, TrainDetector or DecodeDetector.
+var ErrNotCompiled = errors.New("core: detector was not built by NewDetector")
+
+// NewDetector compiles a trained tree into a detector, returning
+// ml.Compile's error for a tree that is structurally unusable. The tree
+// must name every attribute: classification projects samples onto it
+// by event name.
+func NewDetector(tree *ml.Tree, trainedOn map[string]int) (*Detector, error) {
+	flat, err := ml.Compile(tree)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	d.flat.Store(f)
-	return f
+	if len(tree.Attrs) == 0 {
+		return nil, fmt.Errorf("core: model carries no attribute names")
+	}
+	for i, a := range tree.Attrs {
+		if a == "" {
+			return nil, fmt.Errorf("core: model attribute %d is empty", i)
+		}
+	}
+	return &Detector{Tree: tree, TrainedOn: trainedOn, flat: flat}, nil
 }
+
+// FlatTree returns the detector's compiled inference form, the
+// contiguous index-based layout every classification walks (nil for a
+// Detector not built by NewDetector).
+func (d *Detector) FlatTree() *ml.FlatTree { return d.flat }
 
 // TrainDetector fits the default C4.5 detector from a labeled dataset.
 func TrainDetector(d *dataset.Dataset) (*Detector, error) {
@@ -63,28 +72,11 @@ func TrainDetector(d *dataset.Dataset) (*Detector, error) {
 	if err != nil {
 		return nil, &PipelineError{Stage: StageTrain, Case: "detector", Err: err}
 	}
-	det := &Detector{Tree: tree, Model: tree, TrainedOn: d.CountByClass()}
-	det.FlatTree() // compile the inference form once, at train time
-	return det, nil
+	return NewDetector(tree, d.CountByClass())
 }
 
-// TrainDetectorWith fits a detector with an arbitrary trainer (used by
-// the classifier-choice ablation).
-func TrainDetectorWith(tr ml.Trainer, d *dataset.Dataset) (*Detector, error) {
-	model, err := tr.Train(d)
-	if err != nil {
-		return nil, &PipelineError{Stage: StageTrain, Case: tr.Name(), Err: err}
-	}
-	det := &Detector{Model: model, TrainedOn: d.CountByClass()}
-	if t, ok := model.(*ml.Tree); ok {
-		det.Tree = t
-		det.FlatTree() // compile the inference form once, at train time
-	}
-	return det, nil
-}
-
-// Classify labels one PMU sample. Tree-based detectors project the
-// sample onto the tree's own attribute list, so detectors trained on a
+// Classify labels one PMU sample. The sample is projected onto the
+// tree's own attribute list, so detectors trained on a
 // platform-specific event selection (see TrainOnPlatform) classify
 // samples from that platform's PMU; feeding a sample that lacks the
 // model's events is an error, not a silent zero-fill. The projection
@@ -92,21 +84,11 @@ func TrainDetectorWith(tr ml.Trainer, d *dataset.Dataset) (*Detector, error) {
 // see project.go — so repeated classifications over one event
 // programming, the windowed streaming hot path, do it once.
 func (d *Detector) Classify(s pmu.Sample) (string, error) {
-	if d.Tree != nil {
-		fv, err := d.projectTree(s)
-		if err != nil {
-			return "", err
-		}
-		if f := d.FlatTree(); f != nil {
-			return f.Predict(fv), nil
-		}
-		return d.Tree.Predict(fv), nil
-	}
-	fv, err := s.FeatureVector()
+	fv, err := d.projectTree(s)
 	if err != nil {
 		return "", err
 	}
-	return d.Model.Predict(fv), nil
+	return d.flat.Predict(fv), nil
 }
 
 // ClassifyObservation labels a measured run.
@@ -337,17 +319,17 @@ func (e *FormatError) Error() string {
 	}
 }
 
-// Encode serializes a tree-based detector to JSON.
+// Encode serializes the detector to JSON.
 func (d *Detector) Encode() ([]byte, error) {
-	if d.Tree == nil {
-		return nil, fmt.Errorf("core: only tree-based detectors serialize")
+	if d.flat == nil {
+		return nil, ErrNotCompiled
 	}
 	return json.MarshalIndent(modelFile{Format: modelFormat, Version: ModelVersion, Tree: d.Tree, TrainedOn: d.TrainedOn}, "", "  ")
 }
 
-// DecodeDetector parses a serialized detector and validates that its
-// feature space matches the current Table 2 programming. Format or
-// version mismatches surface as a *FormatError.
+// DecodeDetector parses a serialized detector and compiles it, so a
+// structurally unusable tree fails here with ml.Compile's error. Format
+// or version mismatches surface as a *FormatError.
 func DecodeDetector(data []byte) (*Detector, error) {
 	var mf modelFile
 	if err := json.Unmarshal(data, &mf); err != nil {
@@ -359,23 +341,5 @@ func DecodeDetector(data []byte) (*Detector, error) {
 	case mf.Format != modelFormat || mf.Version != ModelVersion:
 		return nil, &FormatError{Format: mf.Format, Version: mf.Version, WantVersion: ModelVersion}
 	}
-	raw, err := json.Marshal(mf.Tree)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := ml.DecodeTree(raw)
-	if err != nil {
-		return nil, err
-	}
-	if len(tree.Attrs) == 0 {
-		return nil, fmt.Errorf("core: model carries no attribute names")
-	}
-	for i, a := range tree.Attrs {
-		if a == "" {
-			return nil, fmt.Errorf("core: model attribute %d is empty", i)
-		}
-	}
-	det := &Detector{Tree: tree, Model: tree, TrainedOn: mf.TrainedOn}
-	det.FlatTree() // compile the inference form once, at decode time
-	return det, nil
+	return NewDetector(mf.Tree, mf.TrainedOn)
 }

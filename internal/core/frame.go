@@ -6,8 +6,7 @@ package core
 // tree, so the per-vector cost is pure index chasing — no JSON, no
 // sample structs, no per-vector allocations. Verdicts are identical to
 // classifying each vector alone through Classify (the projection is
-// the same cached mapping, and the flat tree is bit-equivalent to the
-// pointer tree by the differential harness in internal/ml).
+// the same cached mapping and the same compiled tree).
 
 import "fmt"
 
@@ -20,14 +19,10 @@ import "fmt"
 // buffer. Vectors are "pre-normalized" in the serve sense: already
 // counts-per-instruction, exactly the values a ClassifyRequest vector
 // carries.
-//
-// Only tree detectors have a flattened form; callers must check
-// FlatTree() != nil first and fall back to per-vector classification
-// otherwise (the serve layer does).
 func (d *Detector) ClassifyVectors(names []string, vecs []float64, width int, classes []string) error {
-	ft := d.FlatTree()
+	ft := d.flat
 	if ft == nil {
-		return fmt.Errorf("core: detector has no flattened tree (non-tree model); classify per vector")
+		return ErrNotCompiled
 	}
 	n := len(classes)
 	if width <= 0 {
@@ -43,14 +38,9 @@ func (d *Detector) ClassifyVectors(names []string, vecs []float64, width int, cl
 		return fmt.Errorf("core: frame names %d events but vectors are %d wide", len(names), width)
 	}
 	// The same cached layout->attribute projection the scalar path uses.
-	p := d.proj.Load()
-	if p == nil || !sameLayout(p.names, names) {
-		var err error
-		p, err = buildProjection(ft.Attrs, names)
-		if err != nil {
-			return err
-		}
-		d.proj.Store(p)
+	p, err := d.projection(names)
+	if err != nil {
+		return err
 	}
 	nAttrs := len(p.idx)
 	buf := make([]float64, nAttrs*n)

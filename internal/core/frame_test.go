@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/json"
-	"math"
-	"os"
-	"path/filepath"
+	"errors"
 	"testing"
 
 	"fsml/internal/ml"
@@ -90,129 +87,44 @@ func TestClassifyVectorsMatchesScalar(t *testing.T) {
 	})
 }
 
-// TestFlatVsPointerTestdataDetectors is the trained-model leg of the
-// differential harness: every serialized detector under the repo's
-// testdata/ decodes, compiles to a flat form, and agrees with its
-// pointer tree — classes and confidence bits — over a dense grid of
-// vectors and every missing-attribute mask.
-func TestFlatVsPointerTestdataDetectors(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for _, path := range paths {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+// TestNewDetectorRejectsUncompilableTree pins the one constructor as
+// the one gate: a tree that does not compile yields Compile's error, and
+// a Detector assembled as a struct literal gets no lazy compile — every
+// classification answers ErrNotCompiled.
+func TestNewDetectorRejectsUncompilableTree(t *testing.T) {
+	leaf := func(class string, n float64) *ml.Node { return &ml.Node{Leaf: true, Class: class, N: n} }
+	for name, tree := range map[string]*ml.Tree{
+		"nil tree":      nil,
+		"overflowing N": {Attrs: []string{"EV_A"}, Root: &ml.Node{Attr: 0, Left: leaf("good", 1e308), Right: leaf("bad-fs", 1e308)}},
+	} {
+		if _, err := NewDetector(tree, nil); err == nil {
+			t.Errorf("%s: NewDetector accepted it", name)
 		}
-		// testdata/ also holds non-detector goldens (e.g. rendered perf
-		// verdicts); only files carrying the model format tag are
-		// serialized detectors.
-		var probe struct {
-			Format string `json:"format"`
-		}
-		if json.Unmarshal(blob, &probe) != nil || (probe.Format != modelFormat && probe.Format != legacyModelFormat) {
-			continue
-		}
-		found++
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			det, err := DecodeDetector(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat := det.FlatTree()
-			if flat == nil {
-				t.Fatal("decoded detector did not compile to a flat tree")
-			}
-			tree := det.Tree
-			nAttrs := len(tree.Attrs)
-			// The tree consults few attributes; vary those densely and
-			// the rest coarsely so the grid stays tractable.
-			used := map[int]bool{}
-			for _, a := range tree.UsedAttrs() {
-				used[a] = true
-			}
-			fv := make([]float64, nAttrs)
-			var masks [][]bool
-			masks = append(masks, make([]bool, nAttrs)) // all present
-			for _, a := range tree.UsedAttrs() {
-				m := make([]bool, nAttrs)
-				m[a] = true
-				masks = append(masks, m)
-			}
-			all := make([]bool, nAttrs)
-			for i := range all {
-				all[i] = true
-			}
-			masks = append(masks, all)
-			dense := []float64{0, 0.001, 0.004, 0.01, 0.03, 0.1, 0.5}
-			var sweep func(attrIdx int)
-			checked := 0
-			sweep = func(attrIdx int) {
-				if attrIdx == nAttrs {
-					for _, m := range masks {
-						gc, gconf := flat.PredictPartial(fv, m)
-						wc, wconf := tree.PredictPartial(fv, m)
-						if gc != wc || math.Float64bits(gconf) != math.Float64bits(wconf) {
-							t.Fatalf("PredictPartial(%v, %v): flat (%q, %v) != pointer (%q, %v)", fv, m, gc, gconf, wc, wconf)
-						}
-					}
-					if got, want := flat.Predict(fv), tree.Predict(fv); got != want {
-						t.Fatalf("Predict(%v): flat %q != pointer %q", fv, got, want)
-					}
-					checked++
-					return
-				}
-				if !used[attrIdx] {
-					fv[attrIdx] = 0.02
-					sweep(attrIdx + 1)
-					return
-				}
-				for _, v := range dense {
-					fv[attrIdx] = v
-					sweep(attrIdx + 1)
-				}
-			}
-			sweep(0)
-			if checked == 0 {
-				t.Fatal("sweep checked nothing")
-			}
-			t.Logf("%s: %d attrs (%d consulted), %d vectors x %d masks agree",
-				filepath.Base(path), nAttrs, len(tree.UsedAttrs()), checked, len(masks))
-		})
 	}
-	if found == 0 {
-		t.Fatal("no serialized detectors under testdata/")
-	}
-}
 
-// TestDetectorLiteralCompilesLazily pins the lazy path: a Detector
-// assembled as a struct literal (no TrainDetector/DecodeDetector) gets
-// its flat form on first classification and verdicts match the
-// pointer tree.
-func TestDetectorLiteralCompilesLazily(t *testing.T) {
 	tree := &ml.Tree{
 		Attrs: []string{"EV_A"},
-		Root: &ml.Node{
-			Attr: 0, Threshold: 0.5, N: 4,
-			Left:  &ml.Node{Leaf: true, Class: "good", N: 2},
-			Right: &ml.Node{Leaf: true, Class: "bad-fs", N: 2},
-		},
-	}
-	det := &Detector{Tree: tree, Model: tree}
-	if det.flat.Load() != nil {
-		t.Fatal("literal detector has a warm flat cache")
+		Root:  &ml.Node{Attr: 0, Threshold: 0.5, N: 4, Left: leaf("good", 2), Right: leaf("bad-fs", 2)},
 	}
 	s := pmu.Sample{Names: []string{"EV_A"}, Counts: []float64{900}, Instructions: 1000}
-	class, err := det.Classify(s)
+	literal := &Detector{Tree: tree}
+	if _, err := literal.Classify(s); !errors.Is(err, ErrNotCompiled) {
+		t.Errorf("literal Classify error = %v, want ErrNotCompiled", err)
+	}
+	if _, err := literal.ClassifyRobust(s); !errors.Is(err, ErrNotCompiled) {
+		t.Errorf("literal ClassifyRobust error = %v, want ErrNotCompiled", err)
+	}
+	if err := literal.ClassifyVectors(nil, []float64{0.9}, 1, make([]string, 1)); !errors.Is(err, ErrNotCompiled) {
+		t.Errorf("literal ClassifyVectors error = %v, want ErrNotCompiled", err)
+	}
+	if literal.FlatTree() != nil {
+		t.Error("literal detector compiled lazily")
+	}
+	det, err := NewDetector(tree, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if class != "bad-fs" {
-		t.Fatalf("class = %q, want bad-fs", class)
-	}
-	if det.flat.Load() == nil {
-		t.Fatal("first classification did not compile the flat form")
+	if class, err := det.Classify(s); err != nil || class != "bad-fs" {
+		t.Fatalf("Classify = %q, %v; want bad-fs", class, err)
 	}
 }

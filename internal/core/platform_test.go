@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fsml/internal/miniprog"
-	"fsml/internal/ml"
 	"fsml/internal/pmu"
 )
 
@@ -117,32 +116,6 @@ func TestBuildDatasetAttrsErrors(t *testing.T) {
 	obs.Label = ""
 	if _, err := BuildDatasetAttrs([]Observation{obs}, []string{"SNOOP_RESPONSE.HITM"}); err == nil {
 		t.Errorf("unlabeled observation accepted")
-	}
-}
-
-func TestTrainDetectorWith(t *testing.T) {
-	obs, _, _ := collectSmall(t)
-	d, err := BuildDataset(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := TrainDetectorWith(ml.KNN{K: 3}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.Tree != nil {
-		t.Errorf("kNN detector should have no tree")
-	}
-	if _, err := det.Encode(); err == nil {
-		t.Errorf("non-tree detector serialized")
-	}
-	// Tree trainer path sets Tree.
-	det2, err := TrainDetectorWith(ml.NewC45(ml.DefaultC45()), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det2.Tree == nil {
-		t.Errorf("C4.5 detector lost its tree")
 	}
 }
 

@@ -15,9 +15,7 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"fsml/internal/ml"
 	"fsml/internal/pmu"
 )
 
@@ -71,20 +69,17 @@ func buildProjection(attrs, names []string) (*projection, error) {
 
 // projectTree returns the tree's normalized feature vector for s using
 // the cached projection, rebuilding it only when the sample layout
-// changed. It is the hot windowed path; only the tree-based detectors
-// use it (non-tree models keep the fixed Table 2 FeatureVector path).
+// changed. It is the hot windowed path every classification takes.
 func (d *Detector) projectTree(s pmu.Sample) ([]float64, error) {
+	if d.flat == nil {
+		return nil, ErrNotCompiled
+	}
 	if s.Instructions <= 0 {
 		return nil, fmt.Errorf("pmu: sample has no usable instruction count (normalizer read %g)", s.Instructions)
 	}
-	p := d.proj.Load()
-	if p == nil || !sameLayout(p.names, s.Names) {
-		var err error
-		p, err = buildProjection(d.Tree.Attrs, s.Names)
-		if err != nil {
-			return nil, err
-		}
-		d.proj.Store(p)
+	p, err := d.projection(s.Names)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(p.idx))
 	for i, j := range p.idx {
@@ -93,30 +88,16 @@ func (d *Detector) projectTree(s pmu.Sample) ([]float64, error) {
 	return out, nil
 }
 
-// projCache is the concrete cache slot type embedded in Detector. It is
-// a distinct named type so Detector's struct literal users never touch
-// it, and so the zero value (empty cache) is always valid.
-type projCache struct {
-	p atomic.Pointer[projection]
+// projection returns the cached mapping for a sample layout, resolving
+// and publishing a new one when the layout changed.
+func (d *Detector) projection(names []string) (*projection, error) {
+	if p := d.proj.Load(); p != nil && sameLayout(p.names, names) {
+		return p, nil
+	}
+	p, err := buildProjection(d.flat.Attrs, names)
+	if err != nil {
+		return nil, err
+	}
+	d.proj.Store(p)
+	return p, nil
 }
-
-// Load returns the cached projection (nil when cold).
-func (c *projCache) Load() *projection { return c.p.Load() }
-
-// Store publishes a rebuilt projection.
-func (c *projCache) Store(p *projection) { c.p.Store(p) }
-
-// flatCache is the compiled-flat-tree slot embedded in Detector, the
-// same single-atomic-slot shape as projCache: the zero value is a
-// valid cold cache, concurrent compilers may race to fill it, and
-// whichever Compile result publishes last wins (they are identical —
-// Compile is deterministic).
-type flatCache struct {
-	f atomic.Pointer[ml.FlatTree]
-}
-
-// Load returns the cached flat form (nil when cold).
-func (c *flatCache) Load() *ml.FlatTree { return c.f.Load() }
-
-// Store publishes a compiled flat form.
-func (c *flatCache) Store(f *ml.FlatTree) { c.f.Store(f) }

@@ -110,7 +110,7 @@ type RobustResult struct {
 	Class string
 	// Confidence is the weight fraction behind Class: 1 for a clean
 	// full-vector prediction, lower when flagged events forced the tree
-	// to blend subtrees (see ml.Tree.PredictPartial).
+	// to blend subtrees (see ml.FlatTree.PredictPartial).
 	Confidence float64
 	// Degraded reports that flagged counter reads affected the
 	// prediction path.
@@ -128,9 +128,6 @@ type RobustResult struct {
 // marks ALL attributes missing and the prediction falls back to the
 // training prior. A sample with no usable instruction count at all is
 // still an error — there is no subset to survive on.
-//
-// Non-tree detectors cannot blend branches; they predict on the full
-// vector and report a confidence of (clean attributes)/(all attributes).
 func (d *Detector) ClassifyRobust(s pmu.Sample) (RobustResult, error) {
 	suspects := s.SuspectEvents()
 	if len(suspects) == 0 && !s.InstrFlag.Suspect() {
@@ -141,21 +138,11 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (RobustResult, error) {
 		return RobustResult{Class: class, Confidence: 1}, nil
 	}
 
-	if d.Tree == nil {
-		class, err := d.Classify(s)
-		if err != nil {
-			return RobustResult{}, err
-		}
-		n := len(s.Names)
-		conf := float64(n-len(suspects)) / float64(n)
-		return RobustResult{Class: class, Confidence: conf, Degraded: true, Suspects: suspects}, nil
-	}
-
 	fv, err := d.projectTree(s)
 	if err != nil {
 		return RobustResult{}, err
 	}
-	missing := make([]bool, len(d.Tree.Attrs))
+	missing := make([]bool, len(d.flat.Attrs))
 	if s.InstrFlag.Suspect() {
 		// The normalizer itself is suspect: every normalized feature is.
 		for i := range missing {
@@ -167,7 +154,7 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (RobustResult, error) {
 			set[n] = true
 		}
 		any := false
-		for i, a := range d.Tree.Attrs {
+		for i, a := range d.flat.Attrs {
 			if set[a] {
 				missing[i] = true
 				any = true
@@ -175,18 +162,9 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (RobustResult, error) {
 		}
 		if !any {
 			// The flagged events are not ones this tree consults.
-			if f := d.FlatTree(); f != nil {
-				return RobustResult{Class: f.Predict(fv), Confidence: 1, Suspects: suspects}, nil
-			}
-			return RobustResult{Class: d.Tree.Predict(fv), Confidence: 1, Suspects: suspects}, nil
+			return RobustResult{Class: d.flat.Predict(fv), Confidence: 1, Suspects: suspects}, nil
 		}
 	}
-	var class string
-	var conf float64
-	if f := d.FlatTree(); f != nil {
-		class, conf = f.PredictPartial(fv, missing)
-	} else {
-		class, conf = d.Tree.PredictPartial(fv, missing)
-	}
+	class, conf := d.flat.PredictPartial(fv, missing)
 	return RobustResult{Class: class, Confidence: conf, Degraded: true, Suspects: suspects}, nil
 }

@@ -90,7 +90,11 @@ func stumpDetector() *Detector {
 			Right: &ml.Node{Leaf: true, Class: "bad-fs", N: 2},
 		},
 	}
-	return &Detector{Tree: tree, Model: tree}
+	det, err := NewDetector(tree, nil)
+	if err != nil {
+		panic(err)
+	}
+	return det
 }
 
 // robustSample builds a sample over the stump detector's events plus the

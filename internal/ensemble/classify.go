@@ -94,7 +94,7 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (Result, error) {
 		scores[c] = &agg{}
 	}
 	for _, m := range d.Members {
-		class, conf, degraded := predictMember(m.Tree, s, layout, suspect, instrBad)
+		class, conf, degraded := predictMember(m.flat, s, layout, suspect, instrBad)
 		if degraded {
 			res.Degraded = true
 		}
@@ -110,27 +110,25 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (Result, error) {
 	// Base member: the paper's 3-class tree votes over its own label
 	// space; the confidence mass it withholds from its predicted class
 	// is spread over its other labels.
-	if d.Base != nil && d.Base.Tree != nil {
-		class, conf, degraded := predictMember(d.Base.Tree, s, layout, suspect, instrBad)
-		if degraded {
-			res.Degraded = true
+	class, conf, degraded := predictMember(d.Base.FlatTree(), s, layout, suspect, instrBad)
+	if degraded {
+		res.Degraded = true
+	}
+	others := len(d.BaseClasses) - 1
+	for _, c := range d.BaseClasses {
+		a, ok := scores[c]
+		if !ok {
+			continue
 		}
-		others := len(d.BaseClasses) - 1
-		for _, c := range d.BaseClasses {
-			a, ok := scores[c]
-			if !ok {
+		op := conf
+		if c != class {
+			if others <= 0 {
 				continue
 			}
-			op := conf
-			if c != class {
-				if others <= 0 {
-					continue
-				}
-				op = (1 - conf) / float64(others)
-			}
-			a.num += d.BaseWeight * op
-			a.den += d.BaseWeight
+			op = (1 - conf) / float64(others)
 		}
+		a.num += d.BaseWeight * op
+		a.den += d.BaseWeight
 	}
 
 	res.Pathologies = make([]PathologyScore, 0, len(d.Classes))
@@ -178,11 +176,11 @@ func (a RobustAdapter) ClassifyRobust(s pmu.Sample) (core.RobustResult, error) {
 	return core.RobustResult{Class: r.Class, Confidence: r.Confidence, Degraded: r.Degraded, Suspects: r.Suspects}, nil
 }
 
-// predictMember projects the sample onto one member tree's attribute
-// list and predicts, blending branches at attributes whose events are
-// suspect or absent. It returns the predicted class, the member's
-// confidence in it, and whether the prediction was degraded.
-func predictMember(tree *ml.Tree, s pmu.Sample, layout map[string]int, suspect map[string]bool, instrBad bool) (string, float64, bool) {
+// predictMember projects the sample onto one compiled member tree's
+// attribute list and predicts, blending branches at attributes whose
+// events are suspect or absent. It returns the predicted class, the
+// member's confidence in it, and whether the prediction was degraded.
+func predictMember(tree *ml.FlatTree, s pmu.Sample, layout map[string]int, suspect map[string]bool, instrBad bool) (string, float64, bool) {
 	attrs := tree.Attrs
 	fv := make([]float64, len(attrs))
 	missing := make([]bool, len(attrs))

@@ -45,9 +45,6 @@ func (e *EnsembleFormatError) Error() string {
 
 // Encode serializes the ensemble to JSON.
 func (d *Detector) Encode() ([]byte, error) {
-	if d.Base == nil || d.Base.Tree == nil {
-		return nil, fmt.Errorf("ensemble: detector has no tree-based base member")
-	}
 	f := ensembleFile{
 		Format:     EnsembleFormat,
 		Classes:    d.Classes,
@@ -66,17 +63,8 @@ func (d *Detector) Encode() ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
 
-// revalidate round-trips a decoded tree through ml.DecodeTree so every
-// structural invariant (non-nil root, children, attr ranges) is checked.
-func revalidate(t *ml.Tree) (*ml.Tree, error) {
-	raw, err := json.Marshal(t)
-	if err != nil {
-		return nil, err
-	}
-	return ml.DecodeTree(raw)
-}
-
-// Decode parses a serialized ensemble, validating every member tree.
+// Decode parses a serialized ensemble, compiling (and so validating)
+// every member tree.
 // Unknown formats surface as *EnsembleFormatError.
 func Decode(data []byte) (*Detector, error) {
 	var f ensembleFile
@@ -92,17 +80,15 @@ func Decode(data []byte) (*Detector, error) {
 	if len(f.Members) == 0 {
 		return nil, fmt.Errorf("ensemble: model has no committee members")
 	}
-	baseTree, err := revalidate(f.BaseTree)
+	base, err := core.NewDetector(f.BaseTree, f.BaseTrainedOn)
 	if err != nil {
 		return nil, fmt.Errorf("ensemble: base member: %w", err)
 	}
-	base := &core.Detector{Tree: baseTree, Model: baseTree, TrainedOn: f.BaseTrainedOn}
-	base.FlatTree()
 	det := &Detector{
 		Classes:     f.Classes,
 		Attrs:       f.Attrs,
 		Base:        base,
-		BaseClasses: baseClasses(base),
+		BaseClasses: base.FlatTree().Classes,
 		BaseWeight:  f.BaseWeight,
 	}
 	for i, m := range f.Members {
@@ -112,11 +98,11 @@ func Decode(data []byte) (*Detector, error) {
 		if !contains(f.Classes, m.Class) {
 			return nil, fmt.Errorf("ensemble: member %d votes for unknown class %q", i, m.Class)
 		}
-		tree, err := revalidate(m.Tree)
+		member, err := newMember(m.Class, m.Tree, m.Weight)
 		if err != nil {
 			return nil, fmt.Errorf("ensemble: member %d (%s): %w", i, m.Class, err)
 		}
-		det.Members = append(det.Members, Member{Class: m.Class, Tree: tree, Weight: m.Weight})
+		det.Members = append(det.Members, member)
 	}
 	return det, nil
 }

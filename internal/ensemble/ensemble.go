@@ -116,12 +116,24 @@ type Member struct {
 	// leaf label).
 	Class string
 	// Tree is the binary C4.5 tree over the member's feature subset
-	// (Tree.Attrs names it).
+	// (Tree.Attrs names it), as trained and serialized.
 	Tree *ml.Tree
 	// Weight is the committee's calibration weight: the held-out CV
 	// accuracy of the class's one-vs-rest task (shared by the class's
 	// members).
 	Weight float64
+
+	// flat is Tree compiled; the member votes through it.
+	flat *ml.FlatTree
+}
+
+// newMember compiles a member tree.
+func newMember(class string, tree *ml.Tree, weight float64) (Member, error) {
+	flat, err := ml.Compile(tree)
+	if err != nil {
+		return Member{}, err
+	}
+	return Member{Class: class, Tree: tree, Weight: weight, flat: flat}, nil
 }
 
 // Detector is a trained multi-pathology ensemble.
@@ -137,7 +149,8 @@ type Detector struct {
 	// the very detector passed to Train — not a retrained copy — so it
 	// agrees exactly with standalone classification.
 	Base *core.Detector
-	// BaseClasses is the base member's own label space, sorted.
+	// BaseClasses is the base member's own label space, sorted (its
+	// compiled tree's class table).
 	BaseClasses []string
 	// BaseWeight is the base member's calibration weight.
 	BaseWeight float64
@@ -161,8 +174,8 @@ func Train(data *dataset.Dataset, base *core.Detector, spec Spec) (*Detector, er
 	if data == nil || data.Len() == 0 {
 		return nil, fmt.Errorf("ensemble: empty training set")
 	}
-	if base == nil || base.Tree == nil {
-		return nil, fmt.Errorf("ensemble: need a tree-based 3-class base detector")
+	if base == nil || base.FlatTree() == nil {
+		return nil, fmt.Errorf("ensemble: 3-class base detector: %w", core.ErrNotCompiled)
 	}
 	classes := data.Classes()
 	if len(classes) < 2 {
@@ -172,7 +185,7 @@ func Train(data *dataset.Dataset, base *core.Detector, spec Spec) (*Detector, er
 		Classes:     classes,
 		Attrs:       append([]string(nil), data.Attrs...),
 		Base:        base,
-		BaseClasses: baseClasses(base),
+		BaseClasses: base.FlatTree().Classes,
 	}
 	for ci, class := range classes {
 		bin := binarize(data, class)
@@ -184,10 +197,14 @@ func Train(data *dataset.Dataset, base *core.Detector, spec Spec) (*Detector, er
 			seed := xrand.DeriveSeed(spec.Seed, uint64(ci)*4099+uint64(m)*131+7)
 			sub := resample(bin, spec.Sample, seed)
 			tree, err := ml.NewC45(ml.DefaultC45()).TrainTree(sub)
+			var member Member
+			if err == nil {
+				member, err = newMember(class, tree, weight)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("ensemble: growing %s member %d: %w", class, m, err)
 			}
-			det.Members = append(det.Members, Member{Class: class, Tree: tree, Weight: weight})
+			det.Members = append(det.Members, member)
 		}
 	}
 	// The base member's weight is the mean committee weight of the
@@ -204,30 +221,6 @@ func Train(data *dataset.Dataset, base *core.Detector, spec Spec) (*Detector, er
 		det.BaseWeight /= float64(n)
 	}
 	return det, nil
-}
-
-// baseClasses lists the labels the base detector can emit, sorted.
-func baseClasses(base *core.Detector) []string {
-	seen := map[string]bool{}
-	var walk func(n *ml.Node)
-	walk = func(n *ml.Node) {
-		if n == nil {
-			return
-		}
-		if n.Leaf {
-			seen[n.Class] = true
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(base.Tree.Root)
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // binarize relabels the dataset as class vs restLabel.

@@ -76,7 +76,7 @@ type Lab struct {
 // UseDetector installs an externally trained detector so classification
 // sweeps skip the collection/training phase.
 func (l *Lab) UseDetector(det *core.Detector) error {
-	if det == nil || det.Model == nil {
+	if det == nil || det.FlatTree() == nil {
 		return fmt.Errorf("exps: UseDetector needs a trained detector")
 	}
 	l.detOverride = det

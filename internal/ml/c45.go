@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -58,92 +57,12 @@ type Node struct {
 	E float64 `json:"e"`
 }
 
-// Tree is a trained C4.5 model.
+// Tree is a trained C4.5 model in its training form: it is grown,
+// pruned, rendered and serialized, but never walked to predict — Compile
+// turns it into the FlatTree every prediction goes through.
 type Tree struct {
 	Attrs []string `json:"attrs"`
 	Root  *Node    `json:"root"`
-}
-
-var _ Classifier = (*Tree)(nil)
-
-// Predict implements Classifier.
-func (t *Tree) Predict(features []float64) string {
-	n := t.Root
-	for !n.Leaf {
-		if features[n.Attr] <= n.Threshold {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.Class
-}
-
-// PredictPartial classifies a feature vector in which some attribute
-// values are untrustworthy: missing[i] true means features[i] must not
-// be consulted (a flagged counter read — see pmu.CountFlag). At a split
-// on a missing attribute the prediction descends BOTH children, each
-// weighted by its training population — C4.5's classic missing-value
-// treatment — and the returned confidence is the winning class's share
-// of the total leaf weight reaching the leaves. When no split touches a
-// missing attribute the result agrees with Predict at confidence 1.
-//
-// Leaf ties are pinned: when two classes gather exactly equal weight,
-// the lexicographically smallest label wins, and the confidence
-// denominator is summed in ascending label order so the result is the
-// same bits on every call and in the flattened form (see
-// FlatTree.PredictPartial and TestPredictPartialLeafTieRule).
-func (t *Tree) PredictPartial(features []float64, missing []bool) (class string, confidence float64) {
-	weights := map[string]float64{}
-	var walk func(n *Node, w float64)
-	walk = func(n *Node, w float64) {
-		if n.Leaf {
-			weights[n.Class] += w
-			return
-		}
-		if n.Attr < len(missing) && missing[n.Attr] {
-			if total := n.Left.N + n.Right.N; total > 0 {
-				walk(n.Left, w*n.Left.N/total)
-				walk(n.Right, w*n.Right.N/total)
-			} else {
-				// A hand-built tree without training stats: split evenly.
-				walk(n.Left, w/2)
-				walk(n.Right, w/2)
-			}
-			return
-		}
-		if features[n.Attr] <= n.Threshold {
-			walk(n.Left, w)
-		} else {
-			walk(n.Right, w)
-		}
-	}
-	walk(t.Root, 1)
-	// The pinned tie-break and confidence rule (shared bit-for-bit with
-	// FlatTree.PredictPartial, which the differential fuzz target
-	// enforces): class weights accumulate in DFS left-then-right order;
-	// the denominator sums them in ascending label order; and at an
-	// exact weight tie the lexicographically smallest label wins. The
-	// denominator previously summed in map-iteration order, which is
-	// random per run — with non-associative float addition that could
-	// wobble the confidence's last bit between two calls on the same
-	// input, and between the pointer and flat forms.
-	labels := make([]string, 0, len(weights))
-	for l := range weights {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	total := 0.0
-	for _, l := range labels {
-		total += weights[l]
-	}
-	bestW := -1.0
-	for _, l := range labels {
-		if weights[l] > bestW {
-			class, bestW = l, weights[l]
-		}
-	}
-	return class, bestW / total
 }
 
 // Leaves returns the number of leaf nodes (Figure 2 reports 6).
@@ -218,56 +137,17 @@ func (n *Node) render(b *strings.Builder, attrs []string, depth int) {
 	}
 }
 
-// MarshalJSON / decoding helpers.
-
-// EncodeTree serializes a trained tree to JSON.
-func EncodeTree(t *Tree) ([]byte, error) { return json.MarshalIndent(t, "", "  ") }
-
-// DecodeTree parses a tree serialized by EncodeTree and validates its
-// structure.
-func DecodeTree(data []byte) (*Tree, error) {
-	var t Tree
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("ml: decoding tree: %w", err)
-	}
-	if t.Root == nil {
-		return nil, fmt.Errorf("ml: decoded tree has no root")
-	}
-	var check func(*Node) error
-	check = func(n *Node) error {
-		if n.Leaf {
-			if n.Class == "" {
-				return fmt.Errorf("ml: leaf with empty class")
-			}
-			return nil
-		}
-		if n.Left == nil || n.Right == nil {
-			return fmt.Errorf("ml: interior node missing a child")
-		}
-		if n.Attr < 0 || n.Attr >= len(t.Attrs) {
-			return fmt.Errorf("ml: split attribute %d out of range", n.Attr)
-		}
-		if err := check(n.Left); err != nil {
-			return err
-		}
-		return check(n.Right)
-	}
-	if err := check(t.Root); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
 // ---------------------------------------------------------------------------
 // Training
 
-// Train implements Trainer.
+// Train implements Trainer. The classifier it returns is the compiled
+// FlatTree, so cross-validation walks the same form serving walks.
 func (c *C45) Train(d *dataset.Dataset) (Classifier, error) {
 	t, err := c.TrainTree(d)
 	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return Compile(t)
 }
 
 // TrainTree fits and (optionally) prunes a decision tree, returning the

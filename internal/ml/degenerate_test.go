@@ -143,11 +143,15 @@ func TestPredictPartial(t *testing.T) {
 		},
 	}
 	feats := []float64{99, 0} // would go Right if attr0 were trusted
+	flat, err := Compile(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if class, conf := tree.PredictPartial(feats, []bool{false, false}); class != "bad-fs" || conf != 1 {
+	if class, conf := flat.PredictPartial(feats, []bool{false, false}); class != "bad-fs" || conf != 1 {
 		t.Errorf("clean PredictPartial = (%q, %v), want (bad-fs, 1)", class, conf)
 	}
-	class, conf := tree.PredictPartial(feats, []bool{true, false})
+	class, conf := flat.PredictPartial(feats, []bool{true, false})
 	if class != "good" {
 		t.Errorf("partial PredictPartial class = %q, want majority branch good", class)
 	}
@@ -164,7 +168,11 @@ func TestPredictPartial(t *testing.T) {
 			Right: &Node{Leaf: true, Class: "y"},
 		},
 	}
-	if class, conf := noStats.PredictPartial([]float64{0}, []bool{true}); class != "x" || conf != 0.5 {
+	noStatsFlat, err := Compile(noStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if class, conf := noStatsFlat.PredictPartial([]float64{0}, []bool{true}); class != "x" || conf != 0.5 {
 		t.Errorf("stat-free PredictPartial = (%q, %v), want tie broken to (x, 0.5)", class, conf)
 	}
 }

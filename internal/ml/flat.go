@@ -1,27 +1,31 @@
 package ml
 
-// The flattened inference form of a trained decision tree. The pointer
-// Tree is the right shape for training, pruning, rendering, and JSON
-// serialization, but the serve hot path walks it millions of times per
-// second, and every step chases a heap pointer and every verdict is a
-// Go string. FlatTree applies internal/mem's data-layout lesson to the
-// model itself: all nodes live in one contiguous slice in preorder
-// (the left child is always the next element, so the common "<="
-// branch never jumps), children are int32 indices instead of
-// pointers, and classes are interned to dense int32 ids against a
-// sorted table so a verdict is an integer until the caller asks for
-// the name.
+// The compiled inference form of a trained decision tree, and the only
+// one that predicts. The pointer Tree is the right shape for training,
+// pruning, rendering, and JSON serialization, but the serve hot path
+// walks a model millions of times per second, and every pointer step
+// chases a heap pointer and every verdict is a Go string. FlatTree
+// applies internal/mem's data-layout lesson to the model itself: all
+// nodes live in one contiguous slice in preorder (the left child is
+// always the next element, so the common "<=" branch never jumps),
+// children are int32 indices instead of pointers, and classes are
+// interned to dense int32 ids against a sorted table so a verdict is an
+// integer until the caller asks for the name.
 //
-// Equivalence contract: for every tree and every input, Predict and
-// PredictPartial return byte-identical results to the pointer form —
-// including the floating-point confidence, which is why the partial
-// walk recurses in the exact left-then-right order of
-// Tree.PredictPartial and the class-weight totals accumulate in sorted
-// label order (see the tie-break rule documented there). The
-// differential fuzz target FuzzFlatVsPointerTree pins this.
+// Compile is also the one structural validator of a tree: every model
+// that reaches a predictor — trained, decoded from disk, or uploaded to
+// the server — went through it.
+//
+// Equivalence contract: Predict and PredictPartial return exactly what
+// the textbook recursive walk over the pointer tree returns — including
+// the floating-point confidence, which is why the partial walk recurses
+// left-then-right and the class-weight totals accumulate in sorted
+// label order (see PredictPartial). The test-side pointer walker in
+// oracle_test.go is the reference; FuzzFlatVsPointerTree pins it.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -58,7 +62,7 @@ type FlatTree struct {
 	Attrs []string
 	// Classes is the interned class table, sorted lexicographically.
 	// Class ids index it; the sort order IS the tie-break order of
-	// PredictPartial, matching the pointer tree's smallest-label rule.
+	// PredictPartial (the smallest label wins an exact tie).
 	Classes []string
 	// Nodes holds the tree in preorder; the root is Nodes[0].
 	Nodes []FlatNode
@@ -66,8 +70,13 @@ type FlatTree struct {
 
 var _ Classifier = (*FlatTree)(nil)
 
-// Compile flattens a trained pointer tree. The source tree is read,
-// never retained; recompiling yields an identical FlatTree.
+// Compile flattens a trained pointer tree, validating its structure on
+// the way: a root, two children under every interior node, a class on
+// every leaf, split attributes in range, and training populations that
+// keep PredictPartial's blend finite — no negative or NaN N, and no
+// interior node whose children's N sum overflows (a blend weighted by
+// an infinite total yields 0/0, a NaN confidence). The source tree is
+// read, never retained; recompiling yields an identical FlatTree.
 func Compile(t *Tree) (*FlatTree, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("ml: cannot compile a tree without a root")
@@ -78,6 +87,9 @@ func Compile(t *Tree) (*FlatTree, error) {
 	collect = func(n *Node) error {
 		if n == nil {
 			return fmt.Errorf("ml: cannot compile a tree with a nil node")
+		}
+		if !(n.N >= 0) {
+			return fmt.Errorf("ml: cannot compile a node population of %v", n.N)
 		}
 		if n.Leaf {
 			if n.Class == "" {
@@ -92,7 +104,13 @@ func Compile(t *Tree) (*FlatTree, error) {
 		if err := collect(n.Left); err != nil {
 			return err
 		}
-		return collect(n.Right)
+		if err := collect(n.Right); err != nil {
+			return err
+		}
+		if math.IsInf(n.Left.N+n.Right.N, 0) {
+			return fmt.Errorf("ml: cannot compile children populations %v + %v (not finite)", n.Left.N, n.Right.N)
+		}
+		return nil
 	}
 	if err := collect(t.Root); err != nil {
 		return nil, err
@@ -191,14 +209,21 @@ func (f *FlatTree) ClassifyBatch(cols [][]float64, out []int32) error {
 	return nil
 }
 
-// PredictPartial is the flattened twin of Tree.PredictPartial: missing
-// attributes blend both children weighted by training population, and
-// the winning class's share of the total leaf weight is the
-// confidence. Results — class AND confidence bits — are identical to
-// the pointer form: the walk recurses left-then-right in the same
-// order, so per-class weight sums see the same additions in the same
-// sequence, and totals/tie-breaks follow the sorted-label rule both
-// forms share.
+// PredictPartial classifies a feature vector in which some attribute
+// values are untrustworthy: missing[i] true means features[i] must not
+// be consulted (a flagged counter read — see pmu.CountFlag). At a split
+// on a missing attribute the prediction descends BOTH children, each
+// weighted by its training population (evenly when neither child
+// carries one) — C4.5's classic missing-value treatment — and the
+// returned confidence is the winning class's share of the total leaf
+// weight. When no split touches a missing attribute the result agrees
+// with Predict at confidence 1.
+//
+// Leaf ties are pinned: class weights accumulate in left-then-right DFS
+// order, the confidence denominator sums them in ascending label order,
+// and when two classes gather exactly equal weight the
+// lexicographically smallest label wins — the same bits on every call
+// (see TestPredictPartialLeafTieRule).
 func (f *FlatTree) PredictPartial(features []float64, missing []bool) (class string, confidence float64) {
 	id, conf := f.PredictPartialInto(features, missing, make([]float64, len(f.Classes)))
 	return f.Classes[id], conf
@@ -212,9 +237,9 @@ func (f *FlatTree) PredictPartialInto(features []float64, missing []bool, scratc
 		scratch[i] = 0
 	}
 	f.walkPartial(0, 1, features, missing, scratch)
-	// Total in ascending id order == the pointer form's sorted-label
-	// order. Unreached classes hold exactly 0 and change neither the
-	// sum nor the argmax (some class always carries positive weight).
+	// Total in ascending id order == sorted-label order. Unreached
+	// classes hold exactly 0 and change neither the sum nor the argmax
+	// (some class always carries positive weight).
 	total := 0.0
 	for _, w := range scratch {
 		total += w
@@ -228,9 +253,8 @@ func (f *FlatTree) PredictPartialInto(features []float64, missing []bool, scratc
 	return best, bestW / total
 }
 
-// walkPartial mirrors the recursion of Tree.PredictPartial exactly so
-// floating-point accumulation order (and therefore every confidence
-// bit) matches.
+// walkPartial recurses left-then-right, which fixes the floating-point
+// accumulation order and therefore every confidence bit.
 func (f *FlatTree) walkPartial(at int32, w float64, features []float64, missing []bool, acc []float64) {
 	n := &f.Nodes[at]
 	if n.Attr < 0 {

@@ -1,13 +1,18 @@
 package ml
 
-// The differential harness for the flattened inference form: every
-// test here asserts FlatTree agrees with the pointer Tree bit for bit
-// — classes, confidences, and batch verdicts — over trained trees,
-// hand-built degenerate trees, and fuzz-generated random ones.
+// The differential harness for the compiled inference form: every test
+// here asserts FlatTree agrees with the pointer-tree oracle
+// (oracle_test.go) bit for bit — classes, confidences, and batch
+// verdicts — over trained trees, hand-built degenerate trees,
+// fuzz-generated random ones, and the repo's serialized detectors.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"fsml/internal/dataset"
@@ -102,11 +107,11 @@ func (g *treeGen) genMissing(n int) []bool {
 // assertFlatMatches compares the two forms on one input, exactly.
 func assertFlatMatches(t testing.TB, tree *Tree, flat *FlatTree, fv []float64, missing []bool) {
 	t.Helper()
-	if got, want := flat.Predict(fv), tree.Predict(fv); got != want {
+	if got, want := flat.Predict(fv), oraclePredict(tree, fv); got != want {
 		t.Fatalf("Predict(%v): flat %q != pointer %q\ntree:\n%s", fv, got, want, tree)
 	}
 	gc, gconf := flat.PredictPartial(fv, missing)
-	wc, wconf := tree.PredictPartial(fv, missing)
+	wc, wconf := oraclePredictPartial(tree, fv, missing)
 	if gc != wc {
 		t.Fatalf("PredictPartial(%v, %v): flat class %q != pointer %q\ntree:\n%s", fv, missing, gc, wc, tree)
 	}
@@ -177,6 +182,87 @@ func TestFlatVsPointerRandom(t *testing.T) {
 	}
 }
 
+// TestFlatVsPointerTestdataDetectors is the trained-model leg of the
+// differential harness: every serialized detector under the repo's
+// testdata/ compiles and agrees with the pointer-tree oracle — classes
+// and confidence bits — over a dense grid of vectors and every
+// single-attribute missing mask.
+func TestFlatVsPointerTestdataDetectors(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// testdata/ also holds non-detector goldens (e.g. rendered perf
+		// verdicts); only files carrying the detector format tag (current
+		// or legacy) are serialized detectors.
+		var model struct {
+			Format string `json:"format"`
+			Tree   *Tree  `json:"tree"`
+		}
+		if json.Unmarshal(blob, &model) != nil || !strings.HasPrefix(model.Format, "fsml-detector") {
+			continue
+		}
+		found++
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			tree := model.Tree
+			flat, err := Compile(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nAttrs := len(tree.Attrs)
+			// The tree consults few attributes; vary those densely and
+			// the rest not at all so the grid stays tractable.
+			used := map[int]bool{}
+			masks := [][]bool{make([]bool, nAttrs)} // all present
+			for _, a := range tree.UsedAttrs() {
+				used[a] = true
+				m := make([]bool, nAttrs)
+				m[a] = true
+				masks = append(masks, m)
+			}
+			all := make([]bool, nAttrs)
+			for i := range all {
+				all[i] = true
+			}
+			masks = append(masks, all)
+			dense := []float64{0, 0.001, 0.004, 0.01, 0.03, 0.1, 0.5}
+			fv := make([]float64, nAttrs)
+			checked := 0
+			var sweep func(attrIdx int)
+			sweep = func(attrIdx int) {
+				if attrIdx == nAttrs {
+					for _, m := range masks {
+						assertFlatMatches(t, tree, flat, fv, m)
+					}
+					checked++
+					return
+				}
+				if !used[attrIdx] {
+					fv[attrIdx] = 0.02
+					sweep(attrIdx + 1)
+					return
+				}
+				for _, v := range dense {
+					fv[attrIdx] = v
+					sweep(attrIdx + 1)
+				}
+			}
+			sweep(0)
+			t.Logf("%s: %d attrs (%d consulted), %d vectors x %d masks agree",
+				filepath.Base(path), nAttrs, len(used), checked, len(masks))
+		})
+	}
+	if found == 0 {
+		t.Fatal("no serialized detectors under testdata/")
+	}
+}
+
 // FuzzFlatVsPointerTree is the open-ended differential harness: any
 // byte string is a (tree, vector, mask) triple, and the two forms must
 // agree exactly — class strings and confidence bits.
@@ -234,7 +320,7 @@ func TestClassifyBatchMatchesPredict(t *testing.T) {
 		if want := flat.PredictID(fv); out[i] != want {
 			t.Errorf("row %d: batch id %d != scalar id %d", i, out[i], want)
 		}
-		if wantClass := tree.Predict(fv); flat.Class(out[i]) != wantClass {
+		if wantClass := oraclePredict(tree, fv); flat.Class(out[i]) != wantClass {
 			t.Errorf("row %d: batch class %q != pointer %q", i, flat.Class(out[i]), wantClass)
 		}
 	}
@@ -270,7 +356,7 @@ func TestPredictPartialLeafTieRule(t *testing.T) {
 		name    string
 		predict func([]float64, []bool) (string, float64)
 	}{
-		{"pointer", tree.PredictPartial},
+		{"pointer", func(fv []float64, m []bool) (string, float64) { return oraclePredictPartial(tree, fv, m) }},
 		{"flat", flat.PredictPartial},
 	} {
 		class, conf := form.predict(fv, missing)
@@ -291,8 +377,13 @@ func TestPredictPartialLeafTieRule(t *testing.T) {
 }
 
 // TestCompileRejectsMalformed pins typed failures for shapes Compile
-// must not accept.
+// must not accept. Compile is the only structural check a serialized
+// model gets; TestDecodeTreeRejectsGarbage covers the JSON-decoded shapes.
 func TestCompileRejectsMalformed(t *testing.T) {
+	split := func(left, right *Node) *Tree {
+		return &Tree{Attrs: []string{"A"}, Root: &Node{Attr: 0, N: 2, Left: left, Right: right}}
+	}
+	leaf := func(class string, n float64) *Node { return &Node{Leaf: true, Class: class, N: n} }
 	cases := []struct {
 		name string
 		tree *Tree
@@ -301,11 +392,17 @@ func TestCompileRejectsMalformed(t *testing.T) {
 		{"nil root", &Tree{Attrs: []string{"A"}}},
 		{"empty leaf class", &Tree{Attrs: []string{"A"}, Root: &Node{Leaf: true}}},
 		{"attr out of range", &Tree{Attrs: []string{"A"}, Root: &Node{
-			Attr: 3, Left: &Node{Leaf: true, Class: "x"}, Right: &Node{Leaf: true, Class: "y"},
+			Attr: 3, Left: leaf("x", 0), Right: leaf("y", 0),
 		}}},
-		{"nil child", &Tree{Attrs: []string{"A"}, Root: &Node{
-			Attr: 0, Left: &Node{Leaf: true, Class: "x"},
+		{"negative attr", &Tree{Attrs: []string{"A"}, Root: &Node{
+			Attr: -1, Left: leaf("x", 0), Right: leaf("y", 0),
 		}}},
+		{"nil child", split(leaf("x", 0), nil)},
+		{"negative population", split(leaf("x", -1), leaf("y", 3))},
+		{"NaN population", split(leaf("x", math.NaN()), leaf("y", 3))},
+		{"negative interior population", &Tree{Attrs: []string{"A"}, Root: &Node{Attr: 0, N: -2, Left: leaf("x", 1), Right: leaf("y", 1)}}},
+		{"children populations overflow", split(leaf("x", 1e308), leaf("y", 1e308))},
+		{"infinite child population", split(leaf("x", math.Inf(1)), leaf("y", 1))},
 	}
 	for _, tc := range cases {
 		if _, err := Compile(tc.tree); err == nil {
@@ -314,11 +411,34 @@ func TestCompileRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeTreeRejectsGarbage feeds serialized trees through the load
+// path a model file takes (JSON decode, then Compile) and requires every
+// malformed one to be refused at one step or the other.
+func TestDecodeTreeRejectsGarbage(t *testing.T) {
+	for i, blob := range []string{
+		`not json`,
+		`{"attrs":["x"]}`,                       // no root
+		`{"attrs":["x"],"root":{"leaf":false}}`, // missing children
+		`{"attrs":["x"],"root":{"leaf":true}}`,  // leaf w/o class
+		`{"attrs":["x"],"root":{"leaf":false,"attr":5,"left":{"leaf":true,"class":"a"},"right":{"leaf":true,"class":"b"}}}`, // attr out of range
+		`{"attrs":["x"],"root":{"leaf":false,"attr":0,"left":{"leaf":true,"class":"a","n":1e308},"right":{"leaf":true,"class":"b","n":1e308}}}`,
+		`{"attrs":["x"],"root":{"leaf":false,"attr":0,"left":{"leaf":true,"class":"a","n":-4},"right":{"leaf":true,"class":"b","n":4}}}`,
+	} {
+		var tree Tree
+		if err := json.Unmarshal([]byte(blob), &tree); err != nil {
+			continue // rejected by the decoder itself
+		}
+		if _, err := Compile(&tree); err == nil {
+			t.Errorf("case %d: decoded and compiled garbage: %s", i, blob)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Benchmarks
 
-// BenchmarkFlatPredict compares one classification through the pointer
-// tree and the flattened form (see EXPERIMENTS.md). The "tiny" pair is
+// BenchmarkFlatPredict compares one classification through the
+// pointer-tree oracle and the compiled form (see EXPERIMENTS.md). The "tiny" pair is
 // the trained 3-attribute test tree (a handful of nodes, everything in
 // L1, so layout barely matters); the "deep" pair walks a complete
 // depth-14 tree (~32k nodes) where the pointer graph blows the cache
@@ -333,7 +453,7 @@ func BenchmarkFlatPredict(b *testing.B) {
 	b.Run("tiny/pointer", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if tree.Predict(fv) == "" {
+			if oraclePredict(tree, fv) == "" {
 				b.Fatal("empty class")
 			}
 		}
@@ -366,7 +486,7 @@ func BenchmarkFlatPredict(b *testing.B) {
 	b.Run("deep/pointer", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if deep.Predict(vecs[i%len(vecs)]) == "" {
+			if oraclePredict(deep, vecs[i%len(vecs)]) == "" {
 				b.Fatal("empty class")
 			}
 		}

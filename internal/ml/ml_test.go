@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,11 +42,11 @@ func synthetic(n int, seed uint64, noise float64) *dataset.Dataset {
 
 func TestC45FitsSeparableData(t *testing.T) {
 	d := synthetic(400, 1, 0)
-	tree, err := NewC45(DefaultC45()).TrainTree(d)
+	model, err := NewC45(DefaultC45()).Train(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := ResubstitutionError(tree, d)
+	conf := ResubstitutionError(model, d)
 	if conf.Accuracy() < 0.995 {
 		t.Errorf("training accuracy on separable data = %.3f, want ~1.0", conf.Accuracy())
 	}
@@ -132,38 +134,30 @@ func TestTreeRenderFormat(t *testing.T) {
 	}
 }
 
+// TestTreeJSONRoundTrip pins that the training form's JSON shape
+// carries everything the compiled form needs: a tree decoded from its
+// own encoding compiles to an identical FlatTree.
 func TestTreeJSONRoundTrip(t *testing.T) {
 	d := synthetic(300, 7, 0.3)
 	tree, _ := NewC45(DefaultC45()).TrainTree(d)
-	data, err := EncodeTree(tree)
+	data, err := json.MarshalIndent(tree, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTree(data)
+	var got Tree
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compile(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same predictions on fresh points.
-	probe := synthetic(100, 8, 0)
-	for _, in := range probe.Instances {
-		if tree.Predict(in.Features) != got.Predict(in.Features) {
-			t.Fatalf("decoded tree predicts differently")
-		}
+	flat, err := Compile(&got)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestDecodeTreeRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		[]byte("not json"),
-		[]byte(`{"attrs":["x"]}`),                       // no root
-		[]byte(`{"attrs":["x"],"root":{"leaf":false}}`), // missing children
-		[]byte(`{"attrs":["x"],"root":{"leaf":true}}`),  // leaf w/o class
-		[]byte(`{"attrs":["x"],"root":{"leaf":false,"attr":5,"left":{"leaf":true,"class":"a"},"right":{"leaf":true,"class":"b"}}}`), // attr out of range
-	}
-	for i, c := range cases {
-		if _, err := DecodeTree(c); err == nil {
-			t.Errorf("case %d: DecodeTree accepted garbage", i)
-		}
+	if !reflect.DeepEqual(flat, want) {
+		t.Fatalf("decoded tree compiles differently")
 	}
 }
 
@@ -347,9 +341,9 @@ func TestDecisionStumpSingleSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := model.(*Tree)
-	if tree.Size() > 3 {
-		t.Errorf("stump has %d nodes, want <= 3", tree.Size())
+	flat := model.(*FlatTree)
+	if len(flat.Nodes) > 3 {
+		t.Errorf("stump has %d nodes, want <= 3", len(flat.Nodes))
 	}
 	conf := ResubstitutionError(model, d)
 	// One split cannot separate three classes perfectly, but must beat

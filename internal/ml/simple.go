@@ -14,7 +14,7 @@ import (
 // show how much of the problem a single event explains.
 
 // DecisionStump trains a depth-1 C4.5 tree: the single best
-// (attribute, threshold) split with majority leaves.
+// (attribute, threshold) split with majority leaves, compiled.
 type DecisionStump struct{}
 
 // Name implements Trainer.
@@ -49,9 +49,7 @@ func (DecisionStump) Train(d *dataset.Dataset) (Classifier, error) {
 			root.Right = c.leaf(d, right)
 		}
 	}
-	attrs := make([]string, len(d.Attrs))
-	copy(attrs, d.Attrs)
-	return &Tree{Attrs: attrs, Root: root}, nil
+	return Compile(&Tree{Attrs: d.Attrs, Root: root})
 }
 
 // OneR picks the single attribute whose discretized value ranges predict

@@ -167,10 +167,11 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	}()
 
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		done     int
-		firstErr *indexedErr
+		wg         sync.WaitGroup
+		mu         sync.Mutex
+		progressMu sync.Mutex
+		done       int
+		firstErr   *indexedErr
 	)
 	fail := func(i int, err error) {
 		mu.Lock()
@@ -184,11 +185,12 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		if opts.OnProgress == nil {
 			return
 		}
-		mu.Lock()
+		// The callback runs under its own lock so calls stay serialized
+		// and in order without holding mu across user code.
+		progressMu.Lock()
+		defer progressMu.Unlock()
 		done++
-		d := done
-		mu.Unlock()
-		opts.OnProgress(d, n)
+		opts.OnProgress(done, n)
 	}
 
 	wg.Add(workers)

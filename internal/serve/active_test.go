@@ -11,8 +11,13 @@ import (
 
 // variantDetector derives a content-distinct copy of base (TrainedOn is
 // part of the canonical encoding, so each n lands on its own key).
+// base's tree already compiled, so NewDetector cannot fail here.
 func variantDetector(base *core.Detector, n int) *core.Detector {
-	return &core.Detector{Tree: base.Tree, Model: base.Model, TrainedOn: map[string]int{"good": n}}
+	det, err := core.NewDetector(base.Tree, map[string]int{"good": n})
+	if err != nil {
+		panic(err)
+	}
+	return det
 }
 
 // TestActivePointerPinsAgainstEviction promotes a version, then floods

@@ -152,9 +152,9 @@ func (s *Server) classifyVectors(res *classifyResult, m model, in *classifyInput
 	n := len(in.vecs) / in.width
 	row := func(i int) []float64 { return in.vecs[i*in.width : (i+1)*in.width] }
 
-	// Fast path: clean rows against a tree detector run columnar — one
-	// projection, one flat-tree pass, interned verdict strings.
-	if in.columnar && flags == nil && m.det != nil && m.det.FlatTree() != nil {
+	// Fast path: clean rows against the single detector run columnar —
+	// one projection, one flat-tree pass, interned verdict strings.
+	if in.columnar && flags == nil && m.det != nil {
 		classes := make([]string, n)
 		if err := m.det.ClassifyVectors(events, in.vecs, in.width, classes); err != nil {
 			return badRequestf("classify: %v", err)
@@ -235,14 +235,10 @@ func (s *Server) modelFor(ctx context.Context, key string, ens bool) (model, str
 // attrs returns the model's expected event list (for vector requests
 // that name no events).
 func (m model) attrs() []string {
-	switch {
-	case m.ens != nil:
+	if m.ens != nil {
 		return m.ens.Attrs
-	case m.det != nil && m.det.Tree != nil:
-		return m.det.Tree.Attrs
-	default:
-		return pmu.FeatureNames()
 	}
+	return m.det.Tree.Attrs
 }
 
 // classify runs the sample through whichever model is set. The ranked
@@ -296,7 +292,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	v := res.verdicts[0]
 	resp.Class, resp.Confidence, resp.Degraded, resp.Seconds = v.Class, v.Confidence, v.Degraded, v.Seconds
 	resp.Suspects, resp.Detector, resp.Pathologies = res.suspects, res.key, res.pathologies
-	writeJSON(w, &resp)
+	s.writeJSON(w, &resp)
 }
 
 // decodeClassifyJSON decodes and validates the JSON request envelope.

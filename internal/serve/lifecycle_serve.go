@@ -91,7 +91,7 @@ func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request) {
 		if s.lcErr != nil {
 			resp.Error = s.lcErr.Error()
 		}
-		writeJSON(w, resp)
+		s.writeJSON(w, resp)
 		return
 	}
 	limit := 16
@@ -104,7 +104,7 @@ func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	st := s.lc.Status()
-	writeJSON(w, LifecycleResponse{
+	s.writeJSON(w, LifecycleResponse{
 		Enabled: true,
 		Status:  &st,
 		History: s.lc.History(limit),

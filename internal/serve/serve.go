@@ -483,12 +483,17 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// writeJSON renders a 200 response.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON renders a 200 response. The body is marshaled before any
+// of it goes out, so a value that cannot encode (a non-finite float)
+// answers 500 through writeError instead of a silent empty 200.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		s.writeError(w, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // errorStatus maps an error to its HTTP status plus the Retry-After
@@ -562,7 +567,7 @@ func (s *Server) detector(ctx context.Context, key string) (*core.Detector, stri
 // Handlers
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, HealthResponse{Status: "ok", Detectors: len(s.reg.List()), Version: Version()})
+	s.writeJSON(w, HealthResponse{Status: "ok", Detectors: len(s.reg.List()), Version: Version()})
 }
 
 // buildVersion memoizes Version's debug.ReadBuildInfo walk.
@@ -625,7 +630,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		_ = enc.Encode(resp)
 		return
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -635,7 +640,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleListDetectors(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.Add(mReqDetectors, 1)
-	writeJSON(w, DetectorsResponse{
+	s.writeJSON(w, DetectorsResponse{
 		Detectors: s.reg.List(),
 		Capacity:  s.cfg.RegistryCapacity,
 		Disk:      s.reg.DiskKeys(),
@@ -663,7 +668,7 @@ func (s *Server) handleRegisterDetector(w http.ResponseWriter, r *http.Request) 
 			s.writeError(w, err)
 			return
 		}
-		writeJSON(w, RegisterResponse{Key: key, Cached: existed, TrainedOn: det.TrainedOn})
+		s.writeJSON(w, RegisterResponse{Key: key, Cached: existed, TrainedOn: det.TrainedOn})
 	case req.Train != nil:
 		ctx, cancel := s.reqContext(r, 0)
 		defer cancel()
@@ -673,7 +678,7 @@ func (s *Server) handleRegisterDetector(w http.ResponseWriter, r *http.Request) 
 			s.writeError(w, err)
 			return
 		}
-		writeJSON(w, RegisterResponse{Key: key, Cached: hit, TrainedOn: det.TrainedOn})
+		s.writeJSON(w, RegisterResponse{Key: key, Cached: hit, TrainedOn: det.TrainedOn})
 	default:
 		s.writeError(w, badRequestf("register: need a model upload or a train spec"))
 	}
@@ -722,5 +727,5 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, ReportResponse{Detector: key, Report: rep})
+	s.writeJSON(w, ReportResponse{Detector: key, Report: rep})
 }

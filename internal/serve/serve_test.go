@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -420,8 +421,7 @@ func TestRegistryEviction(t *testing.T) {
 	base := tinyDetector(t)
 	var keys []string
 	for i := 0; i < 3; i++ {
-		det := &core.Detector{Tree: base.Tree, Model: base.Model, TrainedOn: map[string]int{"good": i + 1}}
-		key, _, err := reg.Register(det)
+		key, _, err := reg.Register(variantDetector(base, i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -682,6 +682,41 @@ func TestServeErrors(t *testing.T) {
 		if got, body := post(tc.path, tc.body); got != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, got, tc.want, body)
 		}
+	}
+}
+
+// overflowModel is a serialized detector whose two leaves each carry a
+// population of 1e308: their sum overflows, so a classify with the
+// split attribute suspect would blend by an infinite total and answer
+// a NaN confidence. Compile rejects it at decode time.
+var overflowModel = `{"format":"fsml-detector","version":2,"tree":{"attrs":["` + attrHITM + `","` + attrMiss + `"],` +
+	`"root":{"leaf":false,"attr":0,"threshold":0.3,"n":2,"e":0,` +
+	`"left":{"leaf":true,"class":"good","n":1e308,"e":0},"right":{"leaf":true,"class":"bad-fs","n":1e308,"e":0}}}}`
+
+// TestRegisterRejectsNonFinitePopulations pins that an uploaded model
+// whose blend weights cannot stay finite is a 400 at registration, not
+// a registered model that later answers NaN confidences.
+func TestRegisterRejectsNonFinitePopulations(t *testing.T) {
+	_, client := newTestServer(t, Config{})
+	_, err := client.RegisterDetector(context.Background(), []byte(overflowModel))
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("register overflowing model: err = %v, want a 400", err)
+	}
+}
+
+// TestWriteJSONUnencodableIs500 pins that a response value that cannot
+// encode answers 500 with an error body, not a silent empty 200.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, ClassifyResponse{Confidence: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500 (body %q)", rec.Code, rec.Body.String())
+	}
+	var body ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("error body %q does not decode to an ErrorResponse: %v", rec.Body.String(), err)
 	}
 }
 

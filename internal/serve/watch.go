@@ -188,7 +188,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		col.Faults = faults.New(s.cfg.Faults)
 	}
 	var env *stream.Envelope
-	if !q.NoDrift && det.Tree != nil {
+	if !q.NoDrift {
 		env = stream.EnvelopeFromTree(det.Tree, 0)
 	}
 	mc := stream.MonitorConfig{
