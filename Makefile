@@ -34,8 +34,9 @@ fuzz:
 # robustness surface on every push. The ingestion parsers (access
 # traces, perf output) and spec parsers come first; then inference
 # equivalence and wire robustness: the compiled tree must stay
-# bit-identical to the pointer-tree oracle, every uploaded model that
-# decodes must classify to a finite confidence, and garbage binary
+# bit-identical to the pointer-tree oracle and the committee vote to
+# the map-based ensemble oracle, every detector or ensemble that
+# decodes must classify to finite confidences, and garbage binary
 # frames must always land in typed errors.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/trace
@@ -45,6 +46,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnsembleSpec -fuzztime 10s ./internal/ensemble
 	$(GO) test -run '^$$' -fuzz FuzzFlatVsPointerTree -fuzztime 10s ./internal/ml
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDetector -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzEnsembleVsOracle -fuzztime 10s ./internal/ensemble
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEnsemble -fuzztime 10s ./internal/ensemble
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/serve
 
 # bench records the parallel-vs-sequential engine numbers (see

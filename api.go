@@ -887,8 +887,12 @@ type (
 	PerfParseError = perfingest.ParseError
 	// RobustResult is a classification that records its own quality:
 	// the verdict, a confidence, and whether it was computed on a
-	// degraded (partial) feature subset.
+	// degraded (partial) feature subset. It is the one verdict type of
+	// both the detector and the ensemble.
 	RobustResult = core.RobustResult
+	// Classifier is anything that classifies a sample robustly: a
+	// *Detector or an *EnsembleDetector.
+	Classifier = core.Classifier
 )
 
 // The recognized perf output formats.
@@ -912,13 +916,14 @@ var ErrNoPerfNormalizer = perfingest.ErrNoNormalizer
 // `perf stat` (the latter two in plain or `-I <ms>` interval mode).
 func ParsePerf(r io.Reader) (*PerfReport, error) { return perfingest.Parse(r) }
 
-// ClassifyPerf classifies a parsed perf capture with det: the capture
-// is mapped onto the Table-2 feature space through the event-alias
-// table and classified robustly — features the capture did not measure
-// degrade the verdict's confidence (RobustResult.Degraded) instead of
-// failing it. The returned mapping says which perf events fed which
-// features, which were unmapped, and which features went uncovered.
-func ClassifyPerf(det *Detector, rep *PerfReport) (RobustResult, *PerfMapping, error) {
+// ClassifyPerf classifies a parsed perf capture with det — the single
+// detector or the multi-pathology ensemble: the capture is mapped onto
+// the feature space through the event-alias table and classified
+// robustly — features the capture did not measure degrade the verdict's
+// confidence (RobustResult.Degraded) instead of failing it. The
+// returned mapping says which perf events fed which features, which
+// were unmapped, and which features went uncovered.
+func ClassifyPerf(det Classifier, rep *PerfReport) (RobustResult, *PerfMapping, error) {
 	sample, mapping, err := rep.Sample()
 	if err != nil {
 		return RobustResult{}, nil, err
@@ -950,19 +955,15 @@ type (
 	// bootstrap fraction, seed); parse the CLI spec format with
 	// ParseEnsembleSpec.
 	EnsembleSpec = ensemble.Spec
-	// EnsembleResult is a ranked multi-pathology verdict.
-	EnsembleResult = ensemble.Result
-	// PathologyScore is one entry of the ranked verdict.
-	PathologyScore = ensemble.PathologyScore
+	// PathologyScore is one entry of the ensemble's ranked verdict
+	// (RobustResult.Pathologies).
+	PathologyScore = core.PathologyScore
 	// EnsembleTrainConfig configures the widened-grid collection behind
 	// TrainEnsemble.
 	EnsembleTrainConfig = ensemble.TrainConfig
 	// EnsembleFormatError is the typed mismatch error produced when a
 	// serialized blob is not an fsml-ensemble-v1 model.
 	EnsembleFormatError = ensemble.EnsembleFormatError
-	// EnsembleRobustAdapter presents an ensemble through the single
-	// detector's robust-verdict interface, e.g. for the stream engine.
-	EnsembleRobustAdapter = ensemble.RobustAdapter
 	// EnsembleDetectorSpec identifies a lazily trainable ensemble in the
 	// serving registry; its Key() is the registry key.
 	EnsembleDetectorSpec = serve.EnsembleSpec
@@ -1007,23 +1008,21 @@ func TrainEnsembleContext(ctx context.Context, opts TrainOptions, spec EnsembleS
 
 // DetectPathologies measures the given kernels on a fresh default
 // machine with the widened event set and returns the ensemble's ranked
-// multi-pathology verdict. It is Detect's multi-label counterpart.
-func DetectPathologies(det *EnsembleDetector, kernels []Kernel) (EnsembleResult, Observation, error) {
+// multi-pathology verdict (RobustResult.Pathologies). It is Detect's
+// multi-label counterpart.
+func DetectPathologies(det *EnsembleDetector, kernels []Kernel) (RobustResult, Observation, error) {
 	return DetectPathologiesOn(det, DefaultMachine(), kernels)
 }
 
 // DetectPathologiesOn is DetectPathologies with an explicit machine
 // configuration (e.g. NUMAMachine to surface numa-remote).
-func DetectPathologiesOn(det *EnsembleDetector, cfg MachineConfig, kernels []Kernel) (EnsembleResult, Observation, error) {
+func DetectPathologiesOn(det *EnsembleDetector, cfg MachineConfig, kernels []Kernel) (RobustResult, Observation, error) {
 	c := core.NewCollector()
 	c.Machine = cfg
 	c.Events = pmu.EnsembleEvents()
 	obs := c.Measure("user-workload", cfg.Seed, kernels)
 	res, err := det.ClassifyRobust(obs.Sample)
-	if err != nil {
-		return EnsembleResult{}, obs, err
-	}
-	return res, obs, nil
+	return res, obs, err
 }
 
 // EncodeEnsemble serializes a trained ensemble (fsml-ensemble-v1).
@@ -1031,23 +1030,6 @@ func EncodeEnsemble(d *EnsembleDetector) ([]byte, error) { return d.Encode() }
 
 // DecodeEnsemble parses an ensemble serialized by EncodeEnsemble.
 func DecodeEnsemble(data []byte) (*EnsembleDetector, error) { return ensemble.Decode(data) }
-
-// ClassifyPerfEnsemble classifies a parsed perf capture with the
-// multi-pathology ensemble. Features the capture did not measure —
-// commonly the remote-DRAM counter — degrade the affected committee
-// members per-member (EnsembleResult.MissingEvents names them) instead
-// of failing the request.
-func ClassifyPerfEnsemble(det *EnsembleDetector, rep *PerfReport) (EnsembleResult, *PerfMapping, error) {
-	sample, mapping, err := rep.Sample()
-	if err != nil {
-		return EnsembleResult{}, nil, err
-	}
-	res, err := det.ClassifyRobust(sample)
-	if err != nil {
-		return EnsembleResult{}, nil, err
-	}
-	return res, mapping, nil
-}
 
 // ---------------------------------------------------------------------------
 // Fleet serving: a consistent-hash coordinator over many detection

@@ -1,9 +1,12 @@
 #!/bin/sh
-# ci.sh - the checks a change must pass: tier-1 build + tests, vet, and
-# the race-detector leg over the packages with concurrency surface.
+# ci.sh - the checks a change must pass: tier-1 build + tests, gofmt,
+# vet, and the race-detector leg over the packages with concurrency
+# surface.
 set -eux
 
 go build ./...
+# Every tracked Go file is gofmt-clean.
+test -z "$(git ls-files '*.go' | xargs gofmt -l)"
 go vet ./...
 go test ./...
 # The race leg; the Makefile keeps the package list (RACE_PKGS).

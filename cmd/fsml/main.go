@@ -418,34 +418,37 @@ func classifyPerf(path, server string, retries int, model string, quick bool, jo
 	if err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
+	// The ensemble reports the attributes the capture lacked itself and
+	// ranks every pathology; the single detector has neither.
+	var det fsml.Classifier
+	width := 8
 	if ens {
-		det, err := loadEnsemble(model, quick, jobs)
+		e, err := loadEnsemble(model, quick, jobs)
 		if err != nil {
 			return err
 		}
-		res, mapping, err := fsml.ClassifyPerfEnsemble(det, rep)
+		det, width = e, 12
+	} else {
+		d, err := loadOrTrain(model, quick, jobs)
 		if err != nil {
-			return fmt.Errorf("%s: %w", label, err)
+			return err
 		}
-		fmt.Printf("%-24s %-12s (confidence %.3f, %s format, %d events)\n",
-			label, res.Class, res.Confidence, rep.Format, len(rep.Events))
-		for _, p := range res.Pathologies {
-			fmt.Printf("  %-14s %.3f\n", p.Class, p.Score)
-		}
-		printPerfCaveats(res.Degraded, res.MissingEvents, mapping.Unmapped)
-		return nil
-	}
-	det, err := loadOrTrain(model, quick, jobs)
-	if err != nil {
-		return err
+		det = d
 	}
 	rr, mapping, err := fsml.ClassifyPerf(det, rep)
 	if err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
-	fmt.Printf("%-24s %-8s (confidence %.3f, %s format, %d events)\n",
-		label, rr.Class, rr.Confidence, rep.Format, len(rep.Events))
-	printPerfCaveats(rr.Degraded, mapping.Missing, mapping.Unmapped)
+	fmt.Printf("%-24s %-*s (confidence %.3f, %s format, %d events)\n",
+		label, width, rr.Class, rr.Confidence, rep.Format, len(rep.Events))
+	for _, p := range rr.Pathologies {
+		fmt.Printf("  %-14s %.3f\n", p.Class, p.Score)
+	}
+	missing := mapping.Missing
+	if ens {
+		missing = rr.MissingEvents
+	}
+	printPerfCaveats(rr.Degraded, missing, mapping.Unmapped)
 	return nil
 }
 

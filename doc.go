@@ -71,7 +71,8 @@
 //   - internal/core — event selection, training-data collection, the
 //     detector
 //   - internal/ensemble — the multi-pathology ensemble: per-class
-//     bagged C4.5 committees around the untouched 3-class tree,
+//     bagged committees of core Detectors around the untouched 3-class
+//     tree, answering the same RobustResult,
 //     ranking good/bad-fs/bad-ma/tlb-thrash/numa-remote/bw-saturated
 //     with calibrated scores, behind `fsml train -ensemble`,
 //     `fsml classify -ensemble` and POST /v1/classify?ensemble=1

@@ -127,7 +127,7 @@ func (c *Collector) Measure(desc string, seed uint64, kernels []machine.Kernel) 
 func (c *Collector) MeasureMiniProgram(spec miniprog.Spec) (Observation, error) {
 	desc := fmt.Sprintf("%s/size=%d/threads=%d/%s/seed=%d",
 		spec.Program, spec.Size, spec.Threads, spec.Mode, spec.Seed)
-	obs, _, err := c.measureRetry(desc, spec.Seed^0x5151, func() ([]machine.Kernel, error) {
+	obs, _, err := c.MeasureRetry(desc, spec.Seed^0x5151, func() ([]machine.Kernel, error) {
 		return miniprog.Build(spec)
 	})
 	obs.Label = spec.Mode.String()

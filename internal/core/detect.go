@@ -84,7 +84,7 @@ func TrainDetector(d *dataset.Dataset) (*Detector, error) {
 // see project.go — so repeated classifications over one event
 // programming, the windowed streaming hot path, do it once.
 func (d *Detector) Classify(s pmu.Sample) (string, error) {
-	fv, err := d.projectTree(s)
+	fv, err := d.projectTree(s, 0)
 	if err != nil {
 		return "", err
 	}
@@ -148,8 +148,9 @@ type BatchCase struct {
 // collector's Parallelism workers and returns the results in submission
 // order. build(i) is invoked inside the worker, so kernel construction
 // (which lays out the case's address space) parallelizes along with the
-// simulation. Classification uses the detector read-only; results are
-// bit-identical at every parallelism level.
+// simulation. Classification uses det read-only — the single detector
+// or the multi-pathology ensemble; results are bit-identical at every
+// parallelism level.
 //
 // The batch is fault-hardened: a transiently unusable measurement is
 // retried up to c.Retries times with a re-derived seed (build(i) runs
@@ -157,43 +158,34 @@ type BatchCase struct {
 // degrade to a partial-subset prediction with a recorded confidence
 // downgrade, and with c.Tolerate a case that still fails becomes a
 // Failed result row instead of aborting the sweep.
-func (c *Collector) BatchClassify(ctx context.Context, det *Detector, n int, build func(i int) BatchCase) ([]CaseResult, error) {
-	return c.BatchClassifyFunc(ctx, det.ClassifyRobust, n, build)
-}
-
-// BatchClassifyFunc is BatchClassify over an arbitrary robust
-// classifier — anything with ClassifyRobust's shape, e.g. the
-// multi-pathology ensemble through its adapter. Measurement, retries,
-// fault tolerance and determinism are identical to BatchClassify.
-func (c *Collector) BatchClassifyFunc(ctx context.Context, classify func(pmu.Sample) (RobustResult, error), n int, build func(i int) BatchCase) ([]CaseResult, error) {
+func (c *Collector) BatchClassify(ctx context.Context, det Classifier, n int, build func(i int) BatchCase) ([]CaseResult, error) {
 	return sched.Map(ctx, n, c.schedOptions(), func(_ context.Context, i int) (CaseResult, error) {
-		attempts := c.Retries + 1
-		var bc BatchCase
-		var obs Observation
-		measured := false
-		for a := 0; a < attempts; a++ {
-			bc = build(i)
-			md := bc.MeasureDesc
-			if md == "" {
-				md = bc.Desc
-			}
-			obs = c.Measure(md, attemptSeed(bc.Seed, a), bc.Kernels)
-			if usable(obs) {
-				measured = true
-				attempts = a + 1
-				break
-			}
+		bc := build(i)
+		md := bc.MeasureDesc
+		if md == "" {
+			md = bc.Desc
 		}
-		if !measured {
-			perr := &PipelineError{Stage: StageMeasure, Case: bc.Desc, Attempts: attempts, Err: ErrUnusableSample}
-			if c.Tolerate {
-				return CaseResult{Desc: bc.Desc, Seconds: obs.Seconds, Attempts: attempts, Failed: true, Err: perr}, nil
+		// The first attempt runs the kernels built with the case; a
+		// retry rebuilds them.
+		kernels := bc.Kernels
+		obs, attempts, err := c.MeasureRetry(md, bc.Seed, func() ([]machine.Kernel, error) {
+			if kernels == nil {
+				return build(i).Kernels, nil
 			}
-			return CaseResult{}, perr
+			k := kernels
+			kernels = nil
+			return k, nil
+		})
+		stage := StageMeasure
+		var rr RobustResult
+		if err == nil {
+			stage = StageClassify
+			rr, err = det.ClassifyRobust(obs.Sample)
+		} else {
+			err = errors.Unwrap(err)
 		}
-		rr, err := classify(obs.Sample)
 		if err != nil {
-			perr := &PipelineError{Stage: StageClassify, Case: bc.Desc, Attempts: attempts, Err: err}
+			perr := &PipelineError{Stage: stage, Case: bc.Desc, Attempts: attempts, Err: err}
 			if c.Tolerate {
 				return CaseResult{Desc: bc.Desc, Seconds: obs.Seconds, Attempts: attempts, Failed: true, Err: perr}, nil
 			}

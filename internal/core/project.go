@@ -69,8 +69,10 @@ func buildProjection(attrs, names []string) (*projection, error) {
 
 // projectTree returns the tree's normalized feature vector for s using
 // the cached projection, rebuilding it only when the sample layout
-// changed. It is the hot windowed path every classification takes.
-func (d *Detector) projectTree(s pmu.Sample) ([]float64, error) {
+// changed. It is the hot windowed path every classification takes. The
+// vector has spare more elements of capacity, so a caller needing
+// scratch space next to it allocates once.
+func (d *Detector) projectTree(s pmu.Sample, spare int) ([]float64, error) {
 	if d.flat == nil {
 		return nil, ErrNotCompiled
 	}
@@ -81,7 +83,7 @@ func (d *Detector) projectTree(s pmu.Sample) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(p.idx))
+	out := make([]float64, len(p.idx), len(p.idx)+spare)
 	for i, j := range p.idx {
 		out[i] = s.Counts[j] / s.Instructions
 	}

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fsml/internal/machine"
 	"fsml/internal/pmu"
@@ -78,12 +79,14 @@ func attemptSeed(seed uint64, a int) uint64 {
 	return xrand.DeriveSeed(seed, uint64(a))
 }
 
-// measureRetry measures a case with up to c.Retries re-seeded retries.
+// MeasureRetry measures a case with up to c.Retries re-seeded retries.
 // Kernels are stateful, so every attempt rebuilds them via build. On
 // success it returns the observation and the number of attempts spent;
 // when every attempt produced an unusable sample it returns the last
-// observation alongside a *PipelineError.
-func (c *Collector) measureRetry(desc string, seed uint64, build func() ([]machine.Kernel, error)) (Observation, int, error) {
+// observation alongside a *PipelineError. It is the one retry loop:
+// mini-program collection, BatchClassify and served trace replays all
+// measure through it.
+func (c *Collector) MeasureRetry(desc string, seed uint64, build func() ([]machine.Kernel, error)) (Observation, int, error) {
 	attempts := c.Retries + 1
 	var obs Observation
 	for a := 0; a < attempts; a++ {
@@ -103,14 +106,17 @@ func (c *Collector) measureRetry(desc string, seed uint64, build func() ([]machi
 // Degraded classification
 
 // RobustResult is a classification that records its own quality: the
-// predicted class, the detector's confidence in it, and whether (and
-// why) the prediction was computed on a partial event subset.
+// predicted class, the classifier's confidence in it, and whether (and
+// why) the prediction was computed on a partial event subset. It is the
+// one verdict type: the single detector leaves the ensemble-only fields
+// nil.
 type RobustResult struct {
 	// Class is the predicted label.
 	Class string
 	// Confidence is the weight fraction behind Class: 1 for a clean
 	// full-vector prediction, lower when flagged events forced the tree
-	// to blend subtrees (see ml.FlatTree.PredictPartial).
+	// to blend subtrees (see ml.FlatTree.PredictPartial). For the
+	// ensemble it is the top-ranked pathology's normalized score.
 	Confidence float64
 	// Degraded reports that flagged counter reads affected the
 	// prediction path.
@@ -118,6 +124,28 @@ type RobustResult struct {
 	// Suspects lists the flagged events of the sample, in programming
 	// order (nil for a clean sample).
 	Suspects []string
+	// Pathologies ranks every class the multi-pathology ensemble knows,
+	// by descending score (ties ascending label); Class and Confidence
+	// mirror its top entry. Nil for the single detector.
+	Pathologies []PathologyScore
+	// MissingEvents lists ensemble attributes the sample does not carry
+	// at all (e.g. the remote-DRAM counter in a legacy 15-feature
+	// vector), sorted. Members needing them degrade. Nil for the single
+	// detector, which rejects such samples.
+	MissingEvents []string
+}
+
+// PathologyScore is one entry of the ensemble's ranked verdict: a label
+// and the ensemble's calibrated, normalized confidence in it.
+type PathologyScore struct {
+	Class string  `json:"class"`
+	Score float64 `json:"score"`
+}
+
+// Classifier labels a sample robustly. *Detector and the
+// multi-pathology ensemble implement it.
+type Classifier interface {
+	ClassifyRobust(s pmu.Sample) (RobustResult, error)
 }
 
 // ClassifyRobust labels a sample the way Classify does, but survives
@@ -138,33 +166,26 @@ func (d *Detector) ClassifyRobust(s pmu.Sample) (RobustResult, error) {
 		return RobustResult{Class: class, Confidence: 1}, nil
 	}
 
-	fv, err := d.projectTree(s)
+	fv, err := d.projectTree(s, len(d.flat.Classes))
 	if err != nil {
 		return RobustResult{}, err
 	}
-	missing := make([]bool, len(d.flat.Attrs))
-	if s.InstrFlag.Suspect() {
-		// The normalizer itself is suspect: every normalized feature is.
-		for i := range missing {
+	// A suspect normalizer poisons every normalized feature; otherwise
+	// an attribute is missing when any copy of its event is flagged.
+	var missing []bool
+	instrBad := s.InstrFlag.Suspect()
+	for i, a := range d.flat.Attrs {
+		if instrBad || slices.Contains(suspects, a) {
+			if missing == nil {
+				missing = make([]bool, len(d.flat.Attrs))
+			}
 			missing[i] = true
 		}
-	} else {
-		set := make(map[string]bool, len(suspects))
-		for _, n := range suspects {
-			set[n] = true
-		}
-		any := false
-		for i, a := range d.flat.Attrs {
-			if set[a] {
-				missing[i] = true
-				any = true
-			}
-		}
-		if !any {
-			// The flagged events are not ones this tree consults.
-			return RobustResult{Class: d.flat.Predict(fv), Confidence: 1, Suspects: suspects}, nil
-		}
 	}
-	class, conf := d.flat.PredictPartial(fv, missing)
-	return RobustResult{Class: class, Confidence: conf, Degraded: true, Suspects: suspects}, nil
+	if missing == nil {
+		// The flagged events are not ones this tree consults.
+		return RobustResult{Class: d.flat.Predict(fv), Confidence: 1, Suspects: suspects}, nil
+	}
+	id, conf := d.flat.PredictPartialInto(fv, missing, fv[len(fv):cap(fv)])
+	return RobustResult{Class: d.flat.Classes[id], Confidence: conf, Degraded: true, Suspects: suspects}, nil
 }

@@ -96,12 +96,12 @@ func measureHeldOut(t *testing.T, c heldOutCase) core.Observation {
 
 // verdict is the golden-file record for one held-out classification.
 type verdict struct {
-	Workload    string                    `json:"workload"`
-	Want        string                    `json:"want"`
-	Class       string                    `json:"class"`
-	Confidence  float64                   `json:"confidence"`
-	Degraded    bool                      `json:"degraded"`
-	Pathologies []ensemble.PathologyScore `json:"pathologies"`
+	Workload    string                `json:"workload"`
+	Want        string                `json:"want"`
+	Class       string                `json:"class"`
+	Confidence  float64               `json:"confidence"`
+	Degraded    bool                  `json:"degraded"`
+	Pathologies []core.PathologyScore `json:"pathologies"`
 }
 
 func classifyHeldOut(t *testing.T, det *ensemble.Detector) []verdict {

@@ -17,17 +17,20 @@ const EnsembleFormat = "fsml-ensemble-v1"
 
 // ensembleFile is the serialized ensemble shape.
 type ensembleFile struct {
-	Format  string   `json:"format"`
-	Classes []string `json:"classes"`
-	Attrs   []string `json:"attrs"`
-	Members []struct {
-		Class  string   `json:"class"`
-		Weight float64  `json:"weight"`
-		Tree   *ml.Tree `json:"tree"`
-	} `json:"members"`
+	Format        string         `json:"format"`
+	Classes       []string       `json:"classes"`
+	Attrs         []string       `json:"attrs"`
+	Members       []memberFile   `json:"members"`
 	BaseTree      *ml.Tree       `json:"base_tree"`
 	BaseTrainedOn map[string]int `json:"base_trained_on,omitempty"`
 	BaseWeight    float64        `json:"base_weight"`
+}
+
+// memberFile is one serialized committee member.
+type memberFile struct {
+	Class  string   `json:"class"`
+	Weight float64  `json:"weight"`
+	Tree   *ml.Tree `json:"tree"`
 }
 
 // EnsembleFormatError reports serialized bytes this build cannot decode
@@ -54,18 +57,14 @@ func (d *Detector) Encode() ([]byte, error) {
 	}
 	f.BaseTrainedOn = d.Base.TrainedOn
 	for _, m := range d.Members {
-		f.Members = append(f.Members, struct {
-			Class  string   `json:"class"`
-			Weight float64  `json:"weight"`
-			Tree   *ml.Tree `json:"tree"`
-		}{Class: m.Class, Weight: m.Weight, Tree: m.Tree})
+		f.Members = append(f.Members, memberFile{Class: m.Class, Weight: m.Weight, Tree: m.Detector.Tree})
 	}
 	return json.MarshalIndent(f, "", "  ")
 }
 
 // Decode parses a serialized ensemble, compiling (and so validating)
-// every member tree.
-// Unknown formats surface as *EnsembleFormatError.
+// every member tree and checking that the committee can vote (see
+// bind). Unknown formats surface as *EnsembleFormatError.
 func Decode(data []byte) (*Detector, error) {
 	var f ensembleFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -92,17 +91,14 @@ func Decode(data []byte) (*Detector, error) {
 		BaseWeight:  f.BaseWeight,
 	}
 	for i, m := range f.Members {
-		if m.Class == "" {
-			return nil, fmt.Errorf("ensemble: member %d has no class", i)
-		}
-		if !contains(f.Classes, m.Class) {
-			return nil, fmt.Errorf("ensemble: member %d votes for unknown class %q", i, m.Class)
-		}
-		member, err := newMember(m.Class, m.Tree, m.Weight)
+		member, err := core.NewDetector(m.Tree, nil)
 		if err != nil {
 			return nil, fmt.Errorf("ensemble: member %d (%s): %w", i, m.Class, err)
 		}
-		det.Members = append(det.Members, member)
+		det.Members = append(det.Members, Member{Class: m.Class, Detector: member, Weight: m.Weight})
+	}
+	if err := det.bind(); err != nil {
+		return nil, err
 	}
 	return det, nil
 }

@@ -9,7 +9,9 @@
 // one small bagged committee of one-vs-rest C4.5 trees per label on
 // bootstrap-resampled feature subsets, keeps the existing 3-class tree
 // as a member, calibrates every committee's vote with its held-out
-// cross-validation accuracy, and emits a ranked []PathologyScore.
+// cross-validation accuracy, and emits the single detector's verdict
+// type, core.RobustResult, with its ranked Pathologies filled in. Every
+// member is a core.Detector and votes through its ClassifyRobust.
 //
 // Everything is deterministic given Spec.Seed: bootstrap draws and
 // feature subsets come from index-derived xrand streams, members are
@@ -21,9 +23,11 @@ package ensemble
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"fsml/internal/core"
 	"fsml/internal/dataset"
@@ -115,28 +119,20 @@ type Member struct {
 	// Class is the label this member votes for ("rest" is its other
 	// leaf label).
 	Class string
-	// Tree is the binary C4.5 tree over the member's feature subset
-	// (Tree.Attrs names it), as trained and serialized.
-	Tree *ml.Tree
+	// Detector is the member's binary C4.5 tree over its feature subset
+	// (Detector.Tree.Attrs names it), compiled by core.NewDetector; the
+	// member votes through its ClassifyRobust.
+	Detector *core.Detector
 	// Weight is the committee's calibration weight: the held-out CV
 	// accuracy of the class's one-vs-rest task (shared by the class's
 	// members).
 	Weight float64
-
-	// flat is Tree compiled; the member votes through it.
-	flat *ml.FlatTree
 }
 
-// newMember compiles a member tree.
-func newMember(class string, tree *ml.Tree, weight float64) (Member, error) {
-	flat, err := ml.Compile(tree)
-	if err != nil {
-		return Member{}, err
-	}
-	return Member{Class: class, Tree: tree, Weight: weight, flat: flat}, nil
-}
-
-// Detector is a trained multi-pathology ensemble.
+// Detector is a trained multi-pathology ensemble. Build one with Train
+// or Decode and do not modify it afterwards: both resolve the vote
+// layout once (a Detector assembled any other way answers
+// ClassifyRobust with an error).
 type Detector struct {
 	// Classes is the full label space, sorted.
 	Classes []string
@@ -154,6 +150,13 @@ type Detector struct {
 	BaseClasses []string
 	// BaseWeight is the base member's calibration weight.
 	BaseWeight float64
+
+	// memberClass and baseClass are the positions in Classes of each
+	// member's class and each base label (-1: not an ensemble class),
+	// resolved once by bind.
+	memberClass, baseClass []int
+	// layout caches the last sample layout resolved onto Attrs.
+	layout atomic.Pointer[layout]
 }
 
 // restLabel is the complement class of every one-vs-rest tree. The "~"
@@ -197,14 +200,14 @@ func Train(data *dataset.Dataset, base *core.Detector, spec Spec) (*Detector, er
 			seed := xrand.DeriveSeed(spec.Seed, uint64(ci)*4099+uint64(m)*131+7)
 			sub := resample(bin, spec.Sample, seed)
 			tree, err := ml.NewC45(ml.DefaultC45()).TrainTree(sub)
-			var member Member
+			var member *core.Detector
 			if err == nil {
-				member, err = newMember(class, tree, weight)
+				member, err = core.NewDetector(tree, nil)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("ensemble: growing %s member %d: %w", class, m, err)
 			}
-			det.Members = append(det.Members, member)
+			det.Members = append(det.Members, Member{Class: class, Detector: member, Weight: weight})
 		}
 	}
 	// The base member's weight is the mean committee weight of the
@@ -212,13 +215,16 @@ func Train(data *dataset.Dataset, base *core.Detector, spec Spec) (*Detector, er
 	// a veto over them.
 	var n int
 	for ci, class := range classes {
-		if contains(det.BaseClasses, class) {
+		if slices.Contains(det.BaseClasses, class) {
 			det.BaseWeight += det.Members[ci*spec.Members].Weight
 			n++
 		}
 	}
 	if n > 0 {
 		det.BaseWeight /= float64(n)
+	}
+	if err := det.bind(); err != nil {
+		return nil, err
 	}
 	return det, nil
 }
@@ -298,13 +304,4 @@ func resample(d *dataset.Dataset, frac float64, seed uint64) *dataset.Dataset {
 		_ = out.Add(dataset.Instance{Features: fv, Label: inst.Label, Source: inst.Source})
 	}
 	return out
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

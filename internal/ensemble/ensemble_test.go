@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"fsml/internal/core"
@@ -230,6 +231,15 @@ func TestClassifyRejectsUnusableSample(t *testing.T) {
 	}
 }
 
+func TestUnboundDetectorErrors(t *testing.T) {
+	det, base := synthEnsemble(t)
+	literal := &Detector{Classes: det.Classes, Attrs: det.Attrs, Members: det.Members, Base: base, BaseClasses: det.BaseClasses}
+	s := synthSample(det.Attrs, make([]float64, len(det.Attrs)))
+	if _, err := literal.ClassifyRobust(s); err == nil {
+		t.Fatal("want an error from a Detector not built by Train or Decode")
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Determinism and base-member exactness (synthetic; the simulation-backed
 // versions live in accept_test.go)
@@ -329,6 +339,49 @@ func TestDecodeRejectsForeignFormats(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadWeights pins that a vote weight must be a finite
+// non-negative number and that no class's summed weight may overflow:
+// either would make a decoded ensemble answer NaN scores.
+func TestDecodeRejectsBadWeights(t *testing.T) {
+	if _, err := Decode([]byte(tinyEnsemble)); err != nil {
+		t.Fatalf("valid ensemble rejected: %v", err)
+	}
+	cases := map[string]string{
+		"negative member weight":  strings.Replace(tinyEnsemble, `"weight":0.9`, `"weight":-0.9`, 1),
+		"negative base weight":    strings.Replace(tinyEnsemble, `"base_weight":0.8`, `"base_weight":-1`, 1),
+		"member weights overflow": hugeWeights,
+		"member and base weights overflow": strings.Replace(strings.Replace(tinyEnsemble,
+			`"weight":0.9`, `"weight":1e308`, 1), `"base_weight":0.8`, `"base_weight":1e308`, 1),
+	}
+	for name, blob := range cases {
+		det, err := Decode([]byte(blob))
+		if err == nil {
+			res, cerr := det.ClassifyRobust(pmu.Sample{Names: det.Attrs, Counts: []float64{0.1, 0.2}, Instructions: 1})
+			t.Errorf("%s: accepted (classifies to %+v, %v)", name, res, cerr)
+		}
+	}
+}
+
+// TestBindRejectsNonFiniteWeights covers the weights JSON cannot carry
+// but a hand-built ensemble can.
+func TestBindRejectsNonFiniteWeights(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		det, err := Decode([]byte(tinyEnsemble))
+		if err != nil {
+			t.Fatal(err)
+		}
+		det.Members[0].Weight = w
+		if err := det.bind(); err == nil {
+			t.Errorf("member weight %v accepted", w)
+		}
+		det.Members[0].Weight = 1
+		det.BaseWeight = w
+		if err := det.bind(); err == nil {
+			t.Errorf("base weight %v accepted", w)
+		}
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	det, _ := synthEnsemble(t)
 	path := filepath.Join(t.TempDir(), "ensemble.json")
@@ -361,16 +414,27 @@ func BenchmarkDetectorClassify(b *testing.B) {
 	}
 }
 
+// BenchmarkEnsembleClassify ranks a full widened sample (clean) and a
+// legacy 15-feature one (degraded: the remote-DRAM counter is absent,
+// so every member that consults it blends branches).
 func BenchmarkEnsembleClassify(b *testing.B) {
 	det, _ := synthEnsemble(b)
-	rng := xrand.New(9)
-	names := pmu.EnsembleFeatureNames()
-	s := synthSample(names, synthVector(len(names), "bad-fs", rng))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := det.ClassifyRobust(s); err != nil {
-			b.Fatal(err)
-		}
+	for _, v := range []struct {
+		name  string
+		names []string
+	}{
+		{"clean", pmu.EnsembleFeatureNames()},
+		{"degraded", pmu.FeatureNames()},
+	} {
+		rng := xrand.New(9)
+		s := synthSample(v.names, synthVector(len(v.names), "bad-fs", rng))
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := det.ClassifyRobust(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -240,7 +240,6 @@ func (l *Lab) FaultMatrixWide() (*FaultMatrixResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	classify := ensemble.RobustAdapter{D: ens}.ClassifyRobust
 	stdSpecs, numaSpecs := l.faultMatrixWideSpecs()
 	faultSeed := l.Seed*37 + 11
 	res := &FaultMatrixResult{Seed: faultSeed, Wide: true}
@@ -269,7 +268,7 @@ func (l *Lab) FaultMatrixWide() (*FaultMatrixResult, error) {
 			if rate > 0 {
 				c.Faults = faults.New(faults.Config{Rate: rate, Seed: faultSeed})
 			}
-			results, err := c.BatchClassifyFunc(l.ctx(), classify, len(specs), func(i int) core.BatchCase {
+			results, err := c.BatchClassify(l.ctx(), ens, len(specs), func(i int) core.BatchCase {
 				spec := specs[i]
 				kernels, err := miniprog.Build(spec)
 				if err != nil {

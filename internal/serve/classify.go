@@ -23,13 +23,11 @@ import (
 	"time"
 
 	"fsml/internal/core"
-	"fsml/internal/ensemble"
 	"fsml/internal/faults"
 	"fsml/internal/machine"
 	"fsml/internal/perfingest"
 	"fsml/internal/pmu"
 	"fsml/internal/trace"
-	"fsml/internal/xrand"
 )
 
 // classifyInput is one decoded classify request in wire-neutral form.
@@ -66,7 +64,7 @@ type classifyResult struct {
 	key         string
 	verdicts    []BinVerdict
 	suspects    []string
-	pathologies []ensemble.PathologyScore
+	pathologies []core.PathologyScore
 }
 
 // classify is the one classify pipeline behind every wire format.
@@ -110,7 +108,7 @@ func (s *Server) classify(ctx context.Context, in *classifyInput) (classifyResul
 // behind the sample, so the shadow scorer can judge a disagreement
 // against instrumentation ground truth.
 func (s *Server) judge(res *classifyResult, m model, sample pmu.Sample, kernels []machine.Kernel, seconds float64) error {
-	rr, paths, err := m.classify(sample)
+	rr, err := m.classify(sample)
 	if err != nil {
 		return err
 	}
@@ -119,7 +117,7 @@ func (s *Server) judge(res *classifyResult, m model, sample pmu.Sample, kernels 
 	if res.suspects == nil {
 		res.suspects = rr.Suspects
 	}
-	res.pathologies = paths
+	res.pathologies = rr.Pathologies
 	return nil
 }
 
@@ -191,22 +189,15 @@ func (s *Server) classifyTrace(res *classifyResult, m model, in *classifyInput) 
 		seed = 1
 	}
 	c := core.NewCollector()
-	retries := 0
 	if s.cfg.Faults.Enabled() {
 		c.Faults = faults.New(s.cfg.Faults)
-		retries = 2
+		c.Retries = 2
 	}
-	desc := fmt.Sprintf("serve/trace/seed=%d", seed)
-	var obs core.Observation
-	for a := 0; ; a++ {
-		attempt := seed
-		if a > 0 {
-			attempt = xrand.DeriveSeed(seed, uint64(a))
-		}
-		obs = c.Measure(desc, attempt, tr.Kernels())
-		if obs.Sample.Instructions > 0 || a >= retries {
-			break
-		}
+	obs, _, err := c.MeasureRetry(fmt.Sprintf("serve/trace/seed=%d", seed), seed, func() ([]machine.Kernel, error) {
+		return tr.Kernels(), nil
+	})
+	if err != nil {
+		return fmt.Errorf("classify: %w", err)
 	}
 	if err := s.judge(res, m, obs.Sample, tr.Kernels(), obs.Seconds); err != nil {
 		return fmt.Errorf("classify: %w", err)
@@ -243,17 +234,11 @@ func (m model) attrs() []string {
 
 // classify runs the sample through whichever model is set. The ranked
 // pathologies are non-nil only on the ensemble path.
-func (m model) classify(s pmu.Sample) (core.RobustResult, []ensemble.PathologyScore, error) {
+func (m model) classify(s pmu.Sample) (core.RobustResult, error) {
 	if m.ens != nil {
-		res, err := m.ens.ClassifyRobust(s)
-		if err != nil {
-			return core.RobustResult{}, nil, err
-		}
-		rr := core.RobustResult{Class: res.Class, Confidence: res.Confidence, Degraded: res.Degraded, Suspects: res.Suspects}
-		return rr, res.Pathologies, nil
+		return m.ens.ClassifyRobust(s)
 	}
-	rr, err := m.det.ClassifyRobust(s)
-	return rr, nil, err
+	return m.det.ClassifyRobust(s)
 }
 
 // ---------------------------------------------------------------------------

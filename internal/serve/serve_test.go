@@ -28,6 +28,7 @@ import (
 
 	"fsml/internal/core"
 	"fsml/internal/dataset"
+	"fsml/internal/faults"
 	"fsml/internal/pmu"
 	"fsml/internal/trace"
 )
@@ -647,6 +648,22 @@ func TestClassifyTraceRoundTrip(t *testing.T) {
 		if resp.Seconds != obs.Seconds {
 			t.Errorf("%s: simulated runtime %v != local %v", tc.name, resp.Seconds, obs.Seconds)
 		}
+	}
+}
+
+// TestClassifyTraceExhaustedRetriesIs500 pins the fault-injected trace
+// path: with every counter stuck at zero no attempt yields a usable
+// instruction count, so after the re-seeded retries the request fails
+// with a 500 naming the attempts spent.
+func TestClassifyTraceExhaustedRetriesIs500(t *testing.T) {
+	_, client := newTestServer(t, Config{Faults: faults.Config{Rate: 1, Seed: 3, Kinds: []faults.Kind{faults.StuckZero}}})
+	_, err := client.Classify(context.Background(), ClassifyRequest{Trace: []byte("T0 S 0x1000 x8\nT0 E 40\n"), Seed: 7})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+		t.Fatalf("err = %v, want a 500 *APIError", err)
+	}
+	if !strings.Contains(apiErr.Message, "after 3 attempts") {
+		t.Errorf("message %q does not report the 3 attempts", apiErr.Message)
 	}
 }
 

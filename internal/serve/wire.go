@@ -27,7 +27,7 @@ import (
 	"math"
 	"sync"
 
-	"fsml/internal/ensemble"
+	"fsml/internal/core"
 	"fsml/internal/lifecycle"
 	"fsml/internal/report"
 )
@@ -85,7 +85,7 @@ type ClassifyResponse struct {
 	// Pathologies ranks every label the multi-pathology ensemble knows,
 	// descending by score (?ensemble=1 requests only). Class and
 	// Confidence mirror its top entry.
-	Pathologies []ensemble.PathologyScore `json:"pathologies,omitempty"`
+	Pathologies []core.PathologyScore `json:"pathologies,omitempty"`
 }
 
 // ReportRequest is the body of POST /v1/report: a full report.Options

@@ -275,15 +275,6 @@ type EngineConfig struct {
 	MinInstructions float64
 }
 
-// Classifier is the per-window verdict source. core.Detector implements
-// it directly; the multi-pathology ensemble plugs in through its
-// core-compatible adapter (ensemble.RobustAdapter), so phase and drift
-// events carry whatever label space the classifier emits — the engine
-// never assumes the paper's three classes.
-type Classifier interface {
-	ClassifyRobust(s pmu.Sample) (core.RobustResult, error)
-}
-
 // Engine is the pure streaming state machine: feed it one slice sample
 // at a time with Push, collect the events each sample produced, and
 // Finish to close the stream with its summary. It is strictly
@@ -292,7 +283,7 @@ type Classifier interface {
 // the per-sample cost is the subtraction/addition of one counter row
 // plus at most one classification.
 type Engine struct {
-	det Classifier
+	det *core.Detector
 	cfg EngineConfig
 
 	// layout is the event-name layout fixed by the first sample. The
@@ -363,15 +354,6 @@ type ringEntry struct {
 func NewEngine(det *core.Detector, cfg EngineConfig) (*Engine, error) {
 	if det == nil {
 		return nil, fmt.Errorf("stream: nil detector")
-	}
-	return NewEngineWith(det, cfg)
-}
-
-// NewEngineWith builds an engine around any Classifier — the seam the
-// ensemble (and tests) plug into.
-func NewEngineWith(det Classifier, cfg EngineConfig) (*Engine, error) {
-	if det == nil {
-		return nil, fmt.Errorf("stream: nil classifier")
 	}
 	if (cfg.Spec == WindowSpec{}) {
 		cfg.Spec = DefaultWindowSpec()

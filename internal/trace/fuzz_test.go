@@ -16,19 +16,19 @@ var fuzzSeeds = []string{
 	"T0 L 0x40 x3\nT0 S 0x48\nT0 E 5\nT1 S 0x44 x2\nT1 B 7\n",
 	"# comment only\nT0 E 1 # trailing\n\n",
 	"T0 L 64\nT0 S 0x40\n",
-	"T1 E 1\n",                // missing T0
-	"T0 E 1\nT2 E 1\n",        // gap at T1
-	"T999999999 E 1\n",        // huge tid: must error, not allocate
-	"T0 L 0x40 x0\n",          // zero repeat
-	"T0 E -3\n",               // negative count
-	"T0 X 1\n",                // unknown kind
-	"T0 LL 0x40\n",            // two-byte kind
-	"T-1 E 1\n",               // negative tid
-	"T0 L zz\n",               // bad address
+	"T1 E 1\n",                 // missing T0
+	"T0 E 1\nT2 E 1\n",         // gap at T1
+	"T999999999 E 1\n",         // huge tid: must error, not allocate
+	"T0 L 0x40 x0\n",           // zero repeat
+	"T0 E -3\n",                // negative count
+	"T0 X 1\n",                 // unknown kind
+	"T0 LL 0x40\n",             // two-byte kind
+	"T-1 E 1\n",                // negative tid
+	"T0 L zz\n",                // bad address
 	"T0 L 0X1F40\nT0 S 0X40\n", // uppercase hex prefix (regression)
-	"T0 L 0X\n",               // prefix with no digits
-	"T0 L\n",                  // short line
-	"",                        // empty input
+	"T0 L 0X\n",                // prefix with no digits
+	"T0 L\n",                   // short line
+	"",                         // empty input
 	"T0 L 0xffffffffffffffff\nT0 E 2147483647\n",
 	strings.Repeat("T0 E 1\n", 100),
 }
